@@ -1,21 +1,30 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (Figures 4, 5, 9, 10, 11 and the headline text statistics), runs a set
-   of instrumented convergence workloads through the lib/obs metrics
-   registry, dumps everything as JSON lines (BENCH_1.json), then runs one
-   Bechamel micro-benchmark per experiment workload plus a few for the
-   core primitives, and finishes with the large-topology scaling suite
-   (generated 200/500/1000-AS internets at several Exec.Pool job counts,
-   dumped to BENCH_3.json).
+(* Benchmark harness: one table of suites, each writing one JSON-lines
+   dump under the --out directory (default: the current one).
 
-   Run with: dune exec bench/main.exe
-   Smoke mode (figures + metrics dump, no Bechamel, no scaling):
-     dune exec bench/main.exe -- --smoke
-   or: dune build @bench-smoke
-   Scaling suite alone: dune exec bench/main.exe -- --scaling-only *)
+     figures    the paper's tables and figures under a tracer, plus the
+                instrumented convergence workloads         BENCH_1.json
+     micro      Bechamel micro-benchmarks (console table only)
+     scaling    generated 200/500/1000-AS internets        BENCH_3.json
+     serve      serve-daemon load generator                BENCH_6.json
+     chaos      resilience grid                            BENCH_7.json
+     ingest     GC-stamped ingest grid                     BENCH_8.json
+     classify   classifier corpus/training grid            BENCH_9.json
+     community  community-telemetry head-to-head grid      BENCH_10.json
+
+   Every suite asserts its determinism contract (identical results at
+   every job count) and fails on a broken one.  BENCH_4.json and
+   BENCH_5.json are history from the retired stream and collector-mesh
+   suites; the ingest grid re-measures both workloads.
+
+   Run everything:  dune exec bench/main.exe
+   CI figures:      dune exec bench/main.exe -- --smoke
+                    (or: dune build @bench-smoke)
+   Chosen suites:   dune exec bench/main.exe -- --suite serve,chaos --smoke --out DIR *)
 
 open Bechamel
 open Toolkit
 open Net
+module Srv = Measurement.Synthetic_routeviews
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -25,17 +34,71 @@ let banner title =
   say "== %s" title;
   say "=================================================================="
 
+(* ------------------------------------------------------------------ *)
+(* Shared harness code.                                                 *)
+
+let cores = Domain.recommended_domain_count ()
+let cores_label = ("cores", string_of_int cores)
+
 (* Grid points that oversubscribe the machine — more worker domains (or
    clients) than cores — are stamped [saturated=true] so BENCH
    trajectories stay comparable across machines: a flat or negative
    speedup at a saturated point is expected oversubscription, not a
    scaling regression.  On a single-core runner every jobs>1 point is
    saturated and only the jobs=1 numbers are meaningful. *)
-let saturated jobs =
-  ("saturated", string_of_bool (jobs > Domain.recommended_domain_count ()))
+let stamp jobs =
+  [ cores_label; ("saturated", string_of_bool (jobs > cores)) ]
+
+let grid_jobs = [ 1; 2; 4; 8 ]
+
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
+
+(* One grid point as JSON lines: [counters] and [gauges] registered on
+   [reg] (a fresh registry unless the suite filled one already), every
+   line stamped with [labels]. *)
+let point ?(reg = Obs.Registry.create ()) ~labels ~counters ~gauges oc =
+  List.iter
+    (fun (name, v) -> Obs.Registry.Counter.add (Obs.Registry.counter reg name) v)
+    counters;
+  List.iter
+    (fun (name, v) -> Obs.Registry.Gauge.set (Obs.Registry.gauge reg name) v)
+    gauges;
+  output_string oc (Obs.Registry.to_json_lines ~extra:labels reg)
+
+(* The determinism contract: every grid point yields the same value. *)
+let check_identical ~suite ~what = function
+  | [] -> ()
+  | v :: rest ->
+    let same = List.for_all (( = ) v) rest in
+    say "   %s identical at every job count: %b" what same;
+    if not same then
+      failwith (Printf.sprintf "%s suite: %s differ across job counts" suite what)
+
+let print_table header rows =
+  print_string (Mutil.Text_table.render ~header rows)
+
+let seconds s = Printf.sprintf "%.3f s" s
+let rate n s = Printf.sprintf "%.0f" (float_of_int n /. s)
+let micros s = Printf.sprintf "%.1f us" (1e6 *. s)
+
+(* The annotated synthetic RouteViews archive as day batches, both fault
+   origins distrusted: the fixture every archive-driven suite replays. *)
+let archive ~smoke =
+  Stream.Source.archive_batches
+    ~annotate:(Stream.Source.trusted_annotator ~distrusted:Srv.fault_ases ())
+    (if smoke then Srv.smoke_params else Srv.default_params)
+
+(* The archive split over [vantages] collectors at 65% coverage (every
+   event forced to at least one). *)
+let vantage_streams ~vantages batches =
+  Collect.Vantage.replay ~coverage:0.65 ~vantages ~seed:0xC011EC7L batches
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: regenerate the paper's tables and figures.                  *)
+(* figures: the paper's tables and figures, then instrumented
+   convergence workloads (BENCH_1.json).                                *)
 
 let regenerate_figures ?(tracer = Obs.Span.noop) ?jobs () =
   banner "Topologies (Section 5.1)";
@@ -45,7 +108,7 @@ let regenerate_figures ?(tracer = Obs.Span.noop) ?jobs () =
   banner "Figure 4: daily MOAS conflicts";
   let summary =
     Obs.Span.with_span tracer "measurement pipeline (Figures 4+5)" @@ fun () ->
-    Measurement.Report.run Measurement.Synthetic_routeviews.default_params
+    Measurement.Report.run Srv.default_params
   in
   print_string (Measurement.Report.figure4_text summary);
   banner "Figure 5: MOAS durations + Section 3 statistics";
@@ -107,12 +170,9 @@ let regenerate_figures ?(tracer = Obs.Span.noop) ?jobs () =
     "  collapses on one compromised key; the MOAS list degrades gracefully and";
   say "  needs no key infrastructure - the paper's Section 6 argument."
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: instrumented convergence workloads.  One live registry per
-   topology; the engine, every router and every detector feed it, and the
-   per-workload dumps (stamped with a "workload" label) make up the bulk
-   of BENCH_1.json. *)
-
+(* One live registry per topology; the engine, every router and every
+   detector feed it, and the per-workload dumps (stamped with a
+   "workload" label) make up the bulk of BENCH_1.json. *)
 let workloads =
   [
     ("25-AS", Topology.Paper_topologies.topology_25, 3);
@@ -143,24 +203,22 @@ let run_instrumented_workloads () =
       (name, metrics))
     workloads
 
-(* ------------------------------------------------------------------ *)
-(* Part 3: the JSON-lines dump consumed by the perf trajectory. *)
-
-let write_dump ~out ~tracer named_registries =
-  let oc = open_out out in
+let run_figures ~smoke:_ ~jobs oc =
+  let tracer = Obs.Span.create () in
+  regenerate_figures ~tracer ?jobs ();
+  let named_registries = run_instrumented_workloads () in
+  banner "Phase timings (lib/obs spans)";
+  print_string (Obs.Span.to_table tracer);
   List.iter
     (fun (workload, metrics) ->
       output_string oc
         (Obs.Registry.to_json_lines ~extra:[ ("workload", workload) ] metrics))
     named_registries;
   output_string oc
-    (Obs.Span.to_json_lines ~extra:[ ("workload", "figures") ] tracer);
-  close_out oc;
-  say "";
-  say "metrics dump written to %s" out
+    (Obs.Span.to_json_lines ~extra:[ ("workload", "figures") ] tracer)
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: Bechamel micro-benchmarks, one per table/figure workload.    *)
+(* micro: Bechamel micro-benchmarks, one per table/figure workload.     *)
 
 let victim = Prefix.of_string "192.0.2.0/24"
 
@@ -173,22 +231,6 @@ let scenario_runner ~topology ~deployment ~n_attackers =
       ~deployment
   in
   fun () -> ignore (Attack.Scenario.run (Mutil.Rng.of_int 3) scenario)
-
-let bench_measurement_pipeline () =
-  (* a scaled-down archive: same code path as Figures 4-5 at ~1/10 size *)
-  let params =
-    {
-      Measurement.Synthetic_routeviews.default_params with
-      Measurement.Synthetic_routeviews.universe_size = 400;
-      initial_long_lived = 65;
-      final_long_lived = 139;
-      one_day_churn = 24;
-      medium_churn = 9;
-      event_1998_size = 114;
-      event_2001_size = 97;
-    }
-  in
-  fun () -> ignore (Measurement.Report.run params)
 
 let bench_trie () =
   let prefixes =
@@ -257,62 +299,49 @@ let bench_event_queue () =
   in
   drain ()
 
-let bench_topology_derivation () =
- fun () ->
-  ignore (Topology.Paper_topologies.build ~seed:0x4d4f4153L ~target_size:25 ())
+let bench_wire () =
+  let update =
+    Bgp.Update.announce ~sender:(Asn.make 1)
+      {
+        Bgp.Route.prefix = victim;
+        as_path = Bgp.As_path.of_list [ 1; 2; 3 ];
+        origin = Bgp.Route.Igp;
+        learned_from = Asn.make 1;
+        local_pref = 100;
+        communities = Moas.Moas_list.encode (Asn.Set.of_list [ 3; 4 ]);
+      }
+  in
+  let message = Bgp.Wire.of_update update in
+  fun () -> ignore (Bgp.Wire.decode (Bgp.Wire.encode message))
 
 let tests () =
-  [
-    Test.make ~name:"fig4+5: measurement pipeline (1/10 archive)"
-      (Staged.stage (bench_measurement_pipeline ()));
-    Test.make ~name:"fig9: 46-AS scenario, Normal BGP"
-      (Staged.stage
-         (scenario_runner ~topology:Topology.Paper_topologies.topology_46
-            ~deployment:Moas.Deployment.Disabled ~n_attackers:5));
-    Test.make ~name:"fig9: 46-AS scenario, Full MOAS"
-      (Staged.stage
-         (scenario_runner ~topology:Topology.Paper_topologies.topology_46
-            ~deployment:Moas.Deployment.Full ~n_attackers:5));
-    Test.make ~name:"fig10: 25-AS scenario, Full MOAS"
-      (Staged.stage
-         (scenario_runner ~topology:Topology.Paper_topologies.topology_25
-            ~deployment:Moas.Deployment.Full ~n_attackers:5));
-    Test.make ~name:"fig10: 63-AS scenario, Full MOAS"
-      (Staged.stage
-         (scenario_runner ~topology:Topology.Paper_topologies.topology_63
-            ~deployment:Moas.Deployment.Full ~n_attackers:5));
-    Test.make ~name:"fig11: 63-AS scenario, Half MOAS"
-      (Staged.stage
-         (scenario_runner ~topology:Topology.Paper_topologies.topology_63
-            ~deployment:(Moas.Deployment.Fraction 0.5) ~n_attackers:5));
-    Test.make ~name:"summary: topology derivation (25-AS pipeline)"
-      (Staged.stage (bench_topology_derivation ()));
-    Test.make ~name:"core: MOAS consistency check + oracle"
-      (Staged.stage (bench_moas_check ()));
-    Test.make ~name:"core: BGP decision process (12 candidates)"
-      (Staged.stage (bench_decision ()));
-    Test.make ~name:"substrate: prefix-trie longest match (512 prefixes)"
-      (Staged.stage (bench_trie ()));
-    Test.make ~name:"substrate: event queue push/pop (256 events)"
-      (Staged.stage (bench_event_queue ()));
-    Test.make ~name:"substrate: BGP wire encode+decode roundtrip"
-      (Staged.stage
-         (let update =
-            Bgp.Update.announce ~sender:(Asn.make 1)
-              {
-                Bgp.Route.prefix = victim;
-                as_path = Bgp.As_path.of_list [ 1; 2; 3 ];
-                origin = Bgp.Route.Igp;
-                learned_from = Asn.make 1;
-                local_pref = 100;
-                communities = Moas.Moas_list.encode (Asn.Set.of_list [ 3; 4 ]);
-              }
-          in
-          let message = Bgp.Wire.of_update update in
-          fun () -> ignore (Bgp.Wire.decode (Bgp.Wire.encode message))));
-  ]
+  let module T = Topology.Paper_topologies in
+  let scenario topology deployment =
+    scenario_runner ~topology ~deployment ~n_attackers:5
+  in
+  List.map
+    (fun (name, run) -> Test.make ~name (Staged.stage run))
+    [
+      ( "fig4+5: measurement pipeline (1/10 archive)",
+        fun () -> ignore (Measurement.Report.run Srv.smoke_params) );
+      ( "fig9: 46-AS scenario, Normal BGP",
+        scenario T.topology_46 Moas.Deployment.Disabled );
+      ("fig9: 46-AS scenario, Full MOAS", scenario T.topology_46 Moas.Deployment.Full);
+      ("fig10: 25-AS scenario, Full MOAS", scenario T.topology_25 Moas.Deployment.Full);
+      ("fig10: 63-AS scenario, Full MOAS", scenario T.topology_63 Moas.Deployment.Full);
+      ( "fig11: 63-AS scenario, Half MOAS",
+        scenario T.topology_63 (Moas.Deployment.Fraction 0.5) );
+      ( "summary: topology derivation (25-AS pipeline)",
+        fun () -> ignore (T.build ~seed:0x4d4f4153L ~target_size:25 ()) );
+      ("core: MOAS consistency check + oracle", bench_moas_check ());
+      ("core: BGP decision process (12 candidates)", bench_decision ());
+      ("substrate: prefix-trie longest match (512 prefixes)", bench_trie ());
+      ("substrate: event queue push/pop (256 events)", bench_event_queue ());
+      ("substrate: BGP wire encode+decode roundtrip", bench_wire ());
+    ]
 
-let run_microbenches () =
+(* The micro suite has no dump: its table goes to [oc], the console. *)
+let run_micro ~smoke:_ ~jobs:_ oc =
   banner "Micro-benchmarks (Bechamel; time per run)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = Instance.[ monotonic_clock ] in
@@ -343,19 +372,17 @@ let run_microbenches () =
     else Printf.sprintf "%.0f ns" ns
   in
   let rows = List.map (fun (name, ns) -> [ name; pretty_time ns ]) results in
-  print_string (Mutil.Text_table.render ~header:[ "benchmark"; "time/run" ] rows)
+  output_string oc
+    (Mutil.Text_table.render ~header:[ "benchmark"; "time/run" ] rows)
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: large-topology scaling suite (BENCH_3.json).  Generated
-   internets well beyond the paper's 63-AS meshes, full MOAS deployment,
-   a fixed batch of runs executed on the Exec.Pool at increasing job
-   counts.  Wall-clock and merged event counters go to JSON lines; the
-   determinism contract (identical outcomes at every job count) is
-   checked on the way. *)
+(* scaling: generated internets well beyond the paper's 63-AS meshes,
+   full MOAS deployment, a fixed batch of runs on the Exec.Pool at
+   increasing job counts (BENCH_3.json).  Outcomes must be identical at
+   every job count. *)
 
 let scaling_sizes = [ (200, 4); (500, 10); (1000, 20) ]
 let scaling_runs = 8
-let scaling_jobs = [ 1; 2; 4; 8 ]
 
 let scaling_params size =
   (* keep the generator's three-tier shape while scaling the node count:
@@ -369,12 +396,8 @@ let scaling_params size =
     stub_count = size - tier1 - tier2;
   }
 
-let run_scaling ~out () =
+let run_scaling ~smoke:_ ~jobs:_ oc =
   banner "Large-topology scaling (generated internets, Full MOAS)";
-  say "   cores online: %d (Domain.recommended_domain_count)"
-    (Domain.recommended_domain_count ());
-  let cores = string_of_int (Domain.recommended_domain_count ()) in
-  let oc = open_out out in
   List.iter
     (fun (size, n_attackers) ->
       let internet =
@@ -394,586 +417,205 @@ let run_scaling ~out () =
          registry and engine from a pre-split stream, so the batch result
          is identical at every job count *)
       let batch jobs =
-        let t0 = Unix.gettimeofday () in
-        let results =
-          Exec.Pool.map ~jobs
-            (fun r ->
-              let rng = Mutil.Rng.split_at root r in
-              let scenario =
-                Attack.Scenario.random rng ~graph
-                  ~stub:internet.Topology.Generate.stub ~n_origins:1
-                  ~n_attackers ~deployment:Moas.Deployment.Full
-              in
-              let metrics = Obs.Registry.create () in
-              let outcome = Attack.Scenario.run ~metrics rng scenario in
-              (metrics, outcome))
-            (Array.init scaling_runs Fun.id)
+        let elapsed, results =
+          time (fun () ->
+              Exec.Pool.map ~jobs
+                (fun r ->
+                  let rng = Mutil.Rng.split_at root r in
+                  let scenario =
+                    Attack.Scenario.random rng ~graph
+                      ~stub:internet.Topology.Generate.stub ~n_origins:1
+                      ~n_attackers ~deployment:Moas.Deployment.Full
+                  in
+                  let metrics = Obs.Registry.create () in
+                  let o = Attack.Scenario.run ~metrics rng scenario in
+                  ( metrics,
+                    Attack.Scenario.
+                      ( o.fraction_adopting,
+                        o.alarm_count,
+                        o.updates_sent,
+                        o.converged_at ) ))
+                (Array.init scaling_runs Fun.id))
         in
-        let elapsed = Unix.gettimeofday () -. t0 in
         let merged = Obs.Registry.create () in
         Array.iter (fun (m, _) -> Obs.Registry.merge ~into:merged m) results;
-        (elapsed, merged, Array.map snd results)
+        ( jobs,
+          elapsed,
+          Obs.Registry.counter_value merged "sim_events_executed",
+          Array.map snd results )
       in
-      let measured = List.map (fun jobs -> (jobs, batch jobs)) scaling_jobs in
-      let signature outcomes =
-        Array.to_list
-          (Array.map
-             (fun o ->
-               ( o.Attack.Scenario.fraction_adopting,
-                 o.Attack.Scenario.alarm_count,
-                 o.Attack.Scenario.updates_sent,
-                 o.Attack.Scenario.converged_at ))
-             outcomes)
-      in
-      let base =
-        match measured with
-        | (_, (_, _, outcomes)) :: _ -> signature outcomes
-        | [] -> []
-      in
-      let deterministic =
-        List.for_all
-          (fun (_, (_, _, outcomes)) -> signature outcomes = base)
-          measured
-      in
-      let t1, _, _ = List.assoc 1 measured in
-      let events_of merged =
-        Obs.Registry.counter_value merged "sim_events_executed"
-      in
-      print_string
-        (Mutil.Text_table.render
-           ~header:[ "jobs"; "wall clock"; "events/s"; "speedup vs 1 job" ]
-           (List.map
-              (fun (jobs, (elapsed, merged, _)) ->
-                let events = events_of merged in
-                [
-                  string_of_int jobs;
-                  Printf.sprintf "%.3f s" elapsed;
-                  Printf.sprintf "%.0f" (float_of_int events /. elapsed);
-                  Printf.sprintf "%.2fx" (t1 /. elapsed);
-                ])
-              measured));
-      say "   outcomes identical at every job count: %b" deterministic;
-      if not deterministic then (
-        close_out oc;
-        failwith "scaling suite: outcomes differ across job counts");
+      let measured = List.map batch grid_jobs in
+      let t1 = match measured with (_, e, _, _) :: _ -> e | [] -> nan in
+      print_table
+        [ "jobs"; "wall clock"; "events/s"; "speedup vs 1 job" ]
+        (List.map
+           (fun (jobs, elapsed, events, _) ->
+             [
+               string_of_int jobs;
+               seconds elapsed;
+               rate events elapsed;
+               Printf.sprintf "%.2fx" (t1 /. elapsed);
+             ])
+           measured);
+      check_identical ~suite:"scaling" ~what:"outcomes"
+        (List.map (fun (_, _, _, outcomes) -> outcomes) measured);
       List.iter
-        (fun (jobs, (elapsed, merged, _)) ->
-          let events = events_of merged in
-          let reg = Obs.Registry.create () in
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "scaling_wall_clock_seconds")
-            elapsed;
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "scaling_events_executed")
-            events;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "scaling_events_per_second")
-            (float_of_int events /. elapsed);
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "scaling_speedup_vs_one_job")
-            (t1 /. elapsed);
-          output_string oc
-            (Obs.Registry.to_json_lines
-               ~extra:
-                 [
-                   ("workload", Printf.sprintf "scaling-%d-as" size);
-                   ("jobs", string_of_int jobs);
-                   ("cores", cores);
-                   saturated jobs;
-                   ("runs", string_of_int scaling_runs);
-                 ]
-               reg))
-        measured)
-    scaling_sizes;
-  close_out oc;
-  say "";
-  say "scaling dump written to %s" out
-
-(* ------------------------------------------------------------------ *)
-(* Part 6: stream-monitor throughput suite (BENCH_4.json).  The full
-   synthetic archive is materialised once as event batches, then replayed
-   through the online Stream.Sharded monitor at increasing job counts.
-   Wall-clock, updates/s and speedup go to JSON lines; the determinism
-   contract (byte-identical report at every job count) is checked on the
-   way. *)
-
-let stream_jobs = [ 1; 2; 4; 8 ]
-let stream_runs = 3
-
-let run_stream ~out () =
-  banner "Stream-monitor throughput (online MOAS pipeline)";
-  say "   cores online: %d (Domain.recommended_domain_count)"
-    (Domain.recommended_domain_count ());
-  let cores = string_of_int (Domain.recommended_domain_count ()) in
-  let annotate =
-    Stream.Source.trusted_annotator
-      ~distrusted:
-        (Asn.Set.of_list
-           [
-             Measurement.Synthetic_routeviews.fault_as_1998;
-             Measurement.Synthetic_routeviews.fault_as_2001;
-           ])
-      ()
-  in
-  let batches =
-    Stream.Source.archive_batches ~annotate
-      Measurement.Synthetic_routeviews.default_params
-  in
-  let total_events =
-    Array.fold_left
-      (fun acc b -> acc + Array.length b.Stream.Source.events)
-      0 batches
-  in
-  say "   archive: %d day batches, %d update events, %d replays per job count"
-    (Array.length batches) total_events stream_runs;
-  (* the same event stream re-chunked into pool-sized batches: daily
-     batches are far below Sharded.parallel_threshold, so this is the
-     workload where the domain pool actually engages *)
-  let firehose_chunks =
-    let all = Array.concat (Array.to_list (Array.map (fun b -> b.Stream.Source.events) batches)) in
-    let chunk = 2 * Stream.Sharded.parallel_threshold in
-    let n = (Array.length all + chunk - 1) / chunk in
-    Array.init n (fun i ->
-        let lo = i * chunk in
-        let events = Array.sub all lo (min chunk (Array.length all - lo)) in
-        (events.(Array.length events - 1).Stream.Monitor.time, events))
-  in
-  let replay_daily jobs =
-    let monitor = Stream.Sharded.create ~jobs Stream.Monitor.default_config in
-    Array.iter
-      (fun b ->
-        Stream.Sharded.ingest_batch ~day_end:true monitor
-          ~time:b.Stream.Source.time b.Stream.Source.events)
-      batches;
-    monitor
-  in
-  let replay_firehose jobs =
-    let monitor = Stream.Sharded.create ~jobs Stream.Monitor.default_config in
-    Array.iter
-      (fun (time, events) -> Stream.Sharded.ingest_batch monitor ~time events)
-      firehose_chunks;
-    monitor
-  in
-  let measure replay =
-    List.map
-      (fun jobs ->
-        let t0 = Unix.gettimeofday () in
-        let monitor = ref (replay jobs) in
-        for _ = 2 to stream_runs do
-          monitor := replay jobs
-        done;
-        let elapsed =
-          (Unix.gettimeofday () -. t0) /. float_of_int stream_runs
-        in
-        (jobs, elapsed, Stream.Report.render (Stream.Sharded.snapshot !monitor)))
-      stream_jobs
-  in
-  let oc = open_out out in
-  let run_workload ~name ~batch_count replay =
-    say "";
-    say "-- workload %s: %d batches --" name batch_count;
-    let measured = measure replay in
-    let base_report = match measured with (_, _, r) :: _ -> r | [] -> "" in
-    let deterministic =
-      List.for_all (fun (_, _, r) -> String.equal r base_report) measured
-    in
-    let t1 = match measured with (_, e, _) :: _ -> e | [] -> nan in
-    print_string
-      (Mutil.Text_table.render
-         ~header:[ "jobs"; "wall clock"; "updates/s"; "speedup vs 1 job" ]
-         (List.map
-            (fun (jobs, elapsed, _) ->
+        (fun (jobs, elapsed, events, _) ->
+          point oc
+            ~labels:
+              (("workload", Printf.sprintf "scaling-%d-as" size)
+              :: ("jobs", string_of_int jobs)
+              :: ("runs", string_of_int scaling_runs)
+              :: stamp jobs)
+            ~counters:[ ("scaling_events_executed", events) ]
+            ~gauges:
               [
-                string_of_int jobs;
-                Printf.sprintf "%.3f s" elapsed;
-                Printf.sprintf "%.0f" (float_of_int total_events /. elapsed);
-                Printf.sprintf "%.2fx" (t1 /. elapsed);
+                ("scaling_wall_clock_seconds", elapsed);
+                ("scaling_events_per_second", float_of_int events /. elapsed);
+                ("scaling_speedup_vs_one_job", t1 /. elapsed);
               ])
-            measured));
-    say "   reports byte-identical at every job count: %b" deterministic;
-    if not deterministic then (
-      close_out oc;
-      failwith "stream suite: reports differ across job counts");
-    List.iter
-      (fun (jobs, elapsed, _) ->
-        let reg = Obs.Registry.create () in
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "stream_wall_clock_seconds")
-          elapsed;
-        Obs.Registry.Counter.add
-          (Obs.Registry.counter reg "stream_updates_ingested")
-          total_events;
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "stream_updates_per_second")
-          (float_of_int total_events /. elapsed);
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "stream_speedup_vs_one_job")
-          (t1 /. elapsed);
-        output_string oc
-          (Obs.Registry.to_json_lines
-             ~extra:
-               [
-                 ("workload", name);
-                 ("jobs", string_of_int jobs);
-                 ("cores", cores);
-                 saturated jobs;
-                 ("runs", string_of_int stream_runs);
-                 ("batches", string_of_int batch_count);
-                 ("events", string_of_int total_events);
-               ]
-             reg))
-      measured
-  in
-  run_workload ~name:"stream-replay-daily" ~batch_count:(Array.length batches)
-    replay_daily;
-  run_workload ~name:"stream-firehose"
-    ~batch_count:(Array.length firehose_chunks)
-    replay_firehose;
-  close_out oc;
-  say "";
-  say "stream dump written to %s" out
-
-(* ------------------------------------------------------------------ *)
-(* Part 7: collector-mesh suite (BENCH_5.json).  The synthetic archive is
-   split over N simulated collectors (65% coverage, every event forced to
-   at least one), then the whole mesh — per-vantage monitors plus the
-   merged global view — replays concurrently on the Exec.Pool at
-   increasing job counts.  Because the deduplicated union is lossless, the
-   merged report must be byte-identical across every (vantages, jobs)
-   grid point and for a reversed vantage ordering; the suite asserts
-   that. *)
-
-let collect_vantage_counts = [ 2; 4; 8 ]
-let collect_jobs = [ 1; 2; 4; 8 ]
-let collect_runs = 2
-let collect_coverage = 0.65
-
-let run_collect_bench ~out () =
-  banner "Collector mesh (multi-vantage correlation pipeline)";
-  say "   cores online: %d (Domain.recommended_domain_count)"
-    (Domain.recommended_domain_count ());
-  let cores = string_of_int (Domain.recommended_domain_count ()) in
-  let annotate =
-    Stream.Source.trusted_annotator
-      ~distrusted:
-        (Asn.Set.of_list
-           [
-             Measurement.Synthetic_routeviews.fault_as_1998;
-             Measurement.Synthetic_routeviews.fault_as_2001;
-           ])
-      ()
-  in
-  let batches =
-    Stream.Source.archive_batches ~annotate
-      Measurement.Synthetic_routeviews.default_params
-  in
-  let archive_events =
-    Array.fold_left
-      (fun acc b -> acc + Array.length b.Stream.Source.events)
-      0 batches
-  in
-  say "   archive: %d update events split at %.0f%% coverage, %d runs per \
-       grid point"
-    archive_events (100.0 *. collect_coverage) collect_runs;
-  let oc = open_out out in
-  let reference_report = ref None in
-  List.iter
-    (fun vantages ->
-      let streams =
-        Collect.Vantage.replay ~coverage:collect_coverage ~vantages
-          ~seed:0xC011EC7L batches
-      in
-      let stream_events =
-        List.fold_left (fun acc (_, evs) -> acc + Array.length evs) 0 streams
-      in
-      say "";
-      say "-- %d vantages: %d per-vantage events (%.2fx the archive) --"
-        vantages stream_events
-        (float_of_int stream_events /. float_of_int archive_events);
-      let measured =
-        List.map
-          (fun jobs ->
-            let t0 = Unix.gettimeofday () in
-            let result = ref (Collect.Mesh.run ~jobs Stream.Monitor.default_config streams) in
-            for _ = 2 to collect_runs do
-              result := Collect.Mesh.run ~jobs Stream.Monitor.default_config streams
-            done;
-            let elapsed =
-              (Unix.gettimeofday () -. t0) /. float_of_int collect_runs
-            in
-            (jobs, elapsed, !result))
-          collect_jobs
-      in
-      (* ingested per mesh run: every vantage stream plus the merged view *)
-      let total_events =
-        match measured with
-        | (_, _, r) :: _ -> stream_events + r.Collect.Mesh.r_merged_events
-        | [] -> 0
-      in
-      let t1 = match measured with (_, e, _) :: _ -> e | [] -> nan in
-      print_string
-        (Mutil.Text_table.render
-           ~header:[ "jobs"; "wall clock"; "events/s"; "speedup vs 1 job" ]
-           (List.map
-              (fun (jobs, elapsed, _) ->
-                [
-                  string_of_int jobs;
-                  Printf.sprintf "%.3f s" elapsed;
-                  Printf.sprintf "%.0f" (float_of_int total_events /. elapsed);
-                  Printf.sprintf "%.2fx" (t1 /. elapsed);
-                ])
-              measured));
-      (* identity: same merged report at every job count, every vantage
-         count (the union is lossless) and for a reversed stream order *)
-      let reports =
-        List.map
-          (fun (_, _, r) -> Stream.Report.render r.Collect.Mesh.r_merged)
-          measured
-      in
-      let reversed =
-        Stream.Report.render
-          (Collect.Mesh.run ~jobs:2 Stream.Monitor.default_config
-             (List.rev streams))
-            .Collect.Mesh.r_merged
-      in
-      let reference =
-        match !reference_report with
-        | Some r -> r
-        | None ->
-          let r = List.hd reports in
-          reference_report := Some r;
-          r
-      in
-      let deterministic =
-        List.for_all (String.equal reference) (reversed :: reports)
-      in
-      say "   merged report byte-identical across jobs, vantage counts and \
-           orderings: %b"
-        deterministic;
-      if not deterministic then (
-        close_out oc;
-        failwith "collect suite: merged reports differ across the grid");
-      List.iter
-        (fun (jobs, elapsed, r) ->
-          let reg = Obs.Registry.create () in
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "collect_wall_clock_seconds")
-            elapsed;
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "collect_events_ingested")
-            total_events;
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "collect_merge_duplicates")
-            r.Collect.Mesh.r_duplicates;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "collect_events_per_second")
-            (float_of_int total_events /. elapsed);
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "collect_speedup_vs_one_job")
-            (t1 /. elapsed);
-          output_string oc
-            (Obs.Registry.to_json_lines
-               ~extra:
-                 [
-                   ("workload", "collect-mesh");
-                   ("vantages", string_of_int vantages);
-                   ("jobs", string_of_int jobs);
-                   ("cores", cores);
-                   saturated jobs;
-                   ("runs", string_of_int collect_runs);
-                   ("events", string_of_int total_events);
-                 ]
-               reg))
         measured)
-    collect_vantage_counts;
-  close_out oc;
-  say "";
-  say "collect dump written to %s" out
+    scaling_sizes
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: serve-daemon load generator (BENCH_6.json).  An episode store
-   built from a mesh run over the synthetic archive is put behind
-   Serve.Server, then a pool of concurrent clients hammers it with a
-   deterministic mix of typed queries — every request and response
-   crossing the full MOASSERV wire codec.  Per-request latencies give
-   p50/p99; throughput and the server-side request histogram go to JSON
-   lines.  The suite fails outright on a zero measured throughput. *)
+(* Serving suites.  An episode store built from a mesh run over the
+   synthetic archive sits behind Serve.Server; clients send one
+   deterministic query mix, every request and response crossing the full
+   MOASSERV wire codec.  Every load point also dumps the daemon's own
+   instruments (per-kind request counters, shed/timeout counters, the
+   latency histogram) under [side=daemon].                              *)
 
-let serve_client_counts = [ 1; 2; 4; 8 ]
 let serve_vantages = 4
-let serve_coverage = 0.65
 
-let serve_smoke_params =
-  {
-    Measurement.Synthetic_routeviews.default_params with
-    Measurement.Synthetic_routeviews.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
-
-(* The store + annotated archive batches every serving bench runs over:
-   a mesh run across [serve_vantages] partial-coverage vantages of the
-   synthetic RouteViews archive. *)
+(* The store, its entries and the archive batches it was built from. *)
 let serve_fixture ~smoke =
-  let annotate =
-    Stream.Source.trusted_annotator
-      ~distrusted:
-        (Asn.Set.of_list
-           [
-             Measurement.Synthetic_routeviews.fault_as_1998;
-             Measurement.Synthetic_routeviews.fault_as_2001;
-           ])
-      ()
-  in
-  let params =
-    if smoke then serve_smoke_params
-    else Measurement.Synthetic_routeviews.default_params
-  in
-  let batches = Stream.Source.archive_batches ~annotate params in
-  let streams =
-    Collect.Vantage.replay ~coverage:serve_coverage ~vantages:serve_vantages
-      ~seed:0xC011EC7L batches
-  in
+  let batches = archive ~smoke in
   let store =
     Collect.Store.of_correlation
       (Collect.Correlator.of_result
-         (Collect.Mesh.run Stream.Monitor.default_config streams))
+         (Collect.Mesh.run Stream.Monitor.default_config
+            (vantage_streams ~vantages:serve_vantages batches)))
   in
-  (store, batches)
+  (store, Array.of_list (Collect.Store.entries store), batches)
 
-let run_serve_bench ~smoke ~out () =
+(* Request [i] of the query mix, cycling over the stored episodes: exact
+   prefix, covered prefix, origin count, visibility floor, whole count. *)
+let request entries i =
+  let e = entries.(i mod Array.length entries) in
+  let open Collect.Query in
+  match i mod 5 with
+  | 0 -> Serve.Proto.Query (empty |> prefix e.Collect.Correlator.x_prefix)
+  | 1 ->
+    Serve.Proto.Query (empty |> prefix e.Collect.Correlator.x_prefix |> covered)
+  | 2 ->
+    Serve.Proto.Count
+      (match Asn.Set.min_elt_opt e.Collect.Correlator.x_origins with
+      | Some a -> empty |> origin a
+      | None -> empty)
+  | 3 -> Serve.Proto.Query (empty |> min_visibility (1 + (i mod serve_vantages)))
+  | _ -> Serve.Proto.Count empty
+
+type load = { lats : float array; rejected : int; failed : int }
+
+(* Send requests [first, first + n) of the mix through [client], timing
+   each.  Rejected replies and transport failures are counted; any other
+   non-answer fails [suite]. *)
+let timed_requests ~suite client entries ~first n =
+  let lats = Array.make n 0.0 in
+  let rejected = ref 0 in
+  let failed = ref 0 in
+  for k = 0 to n - 1 do
+    let t = Unix.gettimeofday () in
+    (match Serve.Client.call client (request entries (first + k)) with
+    | Serve.Proto.Entries _ | Serve.Proto.Count_is _ -> ()
+    | Serve.Proto.Rejected _ -> incr rejected
+    | r ->
+      failwith (suite ^ " suite: unexpected response " ^ Serve.Proto.render_response r)
+    | exception Serve.Client.Failed _ -> incr failed);
+    lats.(k) <- Unix.gettimeofday () -. t
+  done;
+  { lats; rejected = !rejected; failed = !failed }
+
+(* Wall clock, queries/s, p50 and p99 of [lats] (sorted in place); fails
+   [suite] on a zero throughput. *)
+let summarise ~suite elapsed lats =
+  Array.sort compare lats;
+  let n = Array.length lats in
+  let pct p = lats.(min (n - 1) (p * n / 100)) in
+  let qps = float_of_int n /. elapsed in
+  if not (qps > 0.0) then failwith (suite ^ " suite: zero measured throughput");
+  (elapsed, qps, pct 50, pct 99)
+
+let latency_cells (elapsed, qps, p50, p99) =
+  [ seconds elapsed; Printf.sprintf "%.0f" qps; micros p50; micros p99 ]
+
+let latency_gauges prefix (elapsed, qps, p50, p99) =
+  [
+    (prefix ^ "_wall_clock_seconds", elapsed);
+    (prefix ^ "_queries_per_second", qps);
+    (prefix ^ "_latency_p50_seconds", p50);
+    (prefix ^ "_latency_p99_seconds", p99);
+  ]
+
+(* serve: client pools of 1/2/4/8 against one server (BENCH_6.json). *)
+let run_serve ~smoke ~jobs:_ oc =
   banner "Serve daemon load generator (MOASSERV wire protocol)";
-  say "   cores online: %d (Domain.recommended_domain_count)"
-    (Domain.recommended_domain_count ());
-  let cores = string_of_int (Domain.recommended_domain_count ()) in
-  let store, _batches = serve_fixture ~smoke in
-  let entries = Array.of_list (Collect.Store.entries store) in
-  let n_entries = Array.length entries in
-  let total_requests = if smoke then 4_000 else 60_000 in
-  let client_counts = if smoke then [ 4 ] else serve_client_counts in
+  let store, entries, _ = serve_fixture ~smoke in
+  let total = if smoke then 4_000 else 60_000 in
   say "   store: %d episodes over %d vantages; %d requests per grid point"
-    n_entries serve_vantages total_requests;
-  (* a deterministic query mix cycling over the stored episodes: exact
-     prefix, covered prefix, origin membership, visibility floor, count *)
-  let request i =
-    let e = entries.(i mod n_entries) in
-    let open Collect.Query in
-    match i mod 5 with
-    | 0 -> Serve.Proto.Query (empty |> prefix e.Collect.Correlator.x_prefix)
-    | 1 ->
-      Serve.Proto.Query
-        (empty |> prefix e.Collect.Correlator.x_prefix |> covered)
-    | 2 ->
-      Serve.Proto.Count
-        (match Asn.Set.min_elt_opt e.Collect.Correlator.x_origins with
-        | Some a -> empty |> origin a
-        | None -> empty)
-    | 3 -> Serve.Proto.Query (empty |> min_visibility (1 + (i mod serve_vantages)))
-    | _ -> Serve.Proto.Count empty
-  in
-  let oc = open_out out in
+    (Array.length entries) serve_vantages total;
   let measured =
     List.map
       (fun clients ->
         let metrics = Obs.Registry.create () in
         let server = Serve.Server.create ~metrics ~store () in
-        let per_client = total_requests / clients in
-        let t0 = Unix.gettimeofday () in
-        let latency_arrays =
-          Exec.Pool.map ~jobs:clients
-            (fun c ->
-              let client = Serve.Client.connect server in
-              let lats = Array.make per_client 0.0 in
-              for k = 0 to per_client - 1 do
-                let t = Unix.gettimeofday () in
-                (match Serve.Client.call client (request ((c * per_client) + k)) with
-                | Serve.Proto.Entries _ | Serve.Proto.Count_is _ -> ()
-                | r ->
-                  failwith
-                    ("serve suite: unexpected response "
-                    ^ Serve.Proto.render_response r));
-                lats.(k) <- Unix.gettimeofday () -. t
-              done;
-              Serve.Client.close client;
-              lats)
-            (Array.init clients Fun.id)
+        let per_client = total / clients in
+        let elapsed, loads =
+          time (fun () ->
+              Exec.Pool.map ~jobs:clients
+                (fun c ->
+                  let client = Serve.Client.connect server in
+                  let load =
+                    timed_requests ~suite:"serve" client entries
+                      ~first:(c * per_client) per_client
+                  in
+                  Serve.Client.close client;
+                  load)
+                (Array.init clients Fun.id))
         in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let lats = Array.concat (Array.to_list latency_arrays) in
-        Array.sort compare lats;
-        let n = Array.length lats in
-        let pct p = lats.(min (n - 1) (p * n / 100)) in
-        let qps = float_of_int n /. elapsed in
-        if not (qps > 0.0) then (
-          close_out oc;
-          failwith "serve suite: zero measured throughput");
-        (clients, elapsed, n, qps, pct 50, pct 99, metrics))
-      client_counts
+        if Array.exists (fun l -> l.rejected + l.failed > 0) loads then
+          failwith "serve suite: a request was rejected or failed";
+        let lats = Array.concat (Array.to_list (Array.map (fun l -> l.lats) loads)) in
+        (clients, Array.length lats, summarise ~suite:"serve" elapsed lats, metrics))
+      (if smoke then [ 4 ] else grid_jobs)
   in
-  print_string
-    (Mutil.Text_table.render
-       ~header:[ "clients"; "wall clock"; "queries/s"; "p50"; "p99" ]
-       (List.map
-          (fun (clients, elapsed, _, qps, p50, p99, _) ->
-            [
-              string_of_int clients;
-              Printf.sprintf "%.3f s" elapsed;
-              Printf.sprintf "%.0f" qps;
-              Printf.sprintf "%.1f us" (1e6 *. p50);
-              Printf.sprintf "%.1f us" (1e6 *. p99);
-            ])
-          measured));
+  print_table
+    [ "clients"; "wall clock"; "queries/s"; "p50"; "p99" ]
+    (List.map
+       (fun (clients, _, s, _) -> string_of_int clients :: latency_cells s)
+       measured);
   List.iter
-    (fun (clients, elapsed, n, qps, p50, p99, server_metrics) ->
-      let extra =
-        [
-          ("workload", "serve-load");
-          ("clients", string_of_int clients);
-          ("cores", cores);
-          saturated clients;
-          ("entries", string_of_int n_entries);
-        ]
+    (fun (clients, n, s, metrics) ->
+      let labels =
+        ("workload", "serve-load")
+        :: ("clients", string_of_int clients)
+        :: ("entries", string_of_int (Array.length entries))
+        :: stamp clients
       in
-      let reg = Obs.Registry.create () in
-      Obs.Registry.Counter.add (Obs.Registry.counter reg "serve_queries_total") n;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "serve_wall_clock_seconds")
-        elapsed;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "serve_queries_per_second")
-        qps;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "serve_latency_p50_seconds")
-        p50;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "serve_latency_p99_seconds")
-        p99;
-      output_string oc (Obs.Registry.to_json_lines ~extra reg);
-      (* the daemon's own instruments: per-kind request counters and the
-         server-side latency histogram *)
-      output_string oc
-        (Obs.Registry.to_json_lines
-           ~extra:(("side", "daemon") :: extra)
-           server_metrics))
-    measured;
-  close_out oc;
-  say "";
-  say "serve dump written to %s" out
+      point oc ~labels
+        ~counters:[ ("serve_queries_total", n) ]
+        ~gauges:(latency_gauges "serve" s);
+      point oc ~reg:metrics ~labels:(("side", "daemon") :: labels) ~counters:[]
+        ~gauges:[])
+    measured
 
-(* ------------------------------------------------------------------ *)
-(* Part 9: resilience grid (BENCH_7.json).  The same served store under
-   three arms: [no-fault] (pristine transport, non-retrying client),
-   [lossy-transport] (Chaos.transport with the lossy plan between a
-   retrying client and the server — dropped requests and replies cost
-   real retries), and [degraded-mode] (the live tail killed mid-ingest
-   by a failing source, then the read-only server hammered with the same
-   query mix).  Each arm stamps throughput and p50/p99 latency; the
-   suite fails on a zero throughput or on a degraded arm that is not
-   actually degraded. *)
+(* chaos: the same store under two arms (BENCH_7.json).  [lossy-transport]
+   puts Chaos.transport with the lossy plan between a retrying client and
+   the server, so dropped requests and replies cost real retries;
+   [degraded-mode] kills the live tail mid-ingest with a failing source,
+   then sends the same mix to the read-only server, which must report
+   itself degraded.  The fault-free arm is the serve suite's 1-client
+   point. *)
 
 let chaos_retry =
   (* real backoff sleeps would measure the policy, not the server: keep
@@ -985,321 +627,185 @@ let chaos_retry =
     max_delay = 1e-3;
   }
 
-let run_chaos_bench ~smoke ~out () =
+let run_chaos ~smoke ~jobs:_ oc =
   banner "Resilience grid (chaos transport + degraded mode)";
-  let cores = string_of_int (Domain.recommended_domain_count ()) in
-  let store, batches = serve_fixture ~smoke in
-  let entries = Array.of_list (Collect.Store.entries store) in
-  let n_entries = Array.length entries in
-  let total_requests = if smoke then 2_000 else 20_000 in
+  let store, entries, batches = serve_fixture ~smoke in
+  let total = if smoke then 2_000 else 20_000 in
   say "   store: %d episodes over %d vantages; %d requests per arm"
-    n_entries serve_vantages total_requests;
-  let request i =
-    let e = entries.(i mod n_entries) in
-    let open Collect.Query in
-    match i mod 5 with
-    | 0 -> Serve.Proto.Query (empty |> prefix e.Collect.Correlator.x_prefix)
-    | 1 ->
-      Serve.Proto.Query
-        (empty |> prefix e.Collect.Correlator.x_prefix |> covered)
-    | 2 ->
-      Serve.Proto.Count
-        (match Asn.Set.min_elt_opt e.Collect.Correlator.x_origins with
-        | Some a -> empty |> origin a
-        | None -> empty)
-    | 3 -> Serve.Proto.Query (empty |> min_visibility (1 + (i mod serve_vantages)))
-    | _ -> Serve.Proto.Count empty
-  in
+    (Array.length entries) serve_vantages total;
   let root = Mutil.Rng.create ~seed:0xC4A05L in
-  (* each arm yields (client, server metrics registry, server) *)
   let arms =
     [
-      ( "no-fault",
-        fun metrics ->
-          let server = Serve.Server.create ~metrics ~store () in
-          (Serve.Client.connect server, server) );
       ( "lossy-transport",
-        fun metrics ->
-          let server = Serve.Server.create ~metrics ~store () in
+        fun server ->
           let transport =
-            Chaos.transport
-              ~rng:(Mutil.Rng.split_at root 1)
-              ~plan:Chaos.lossy server
+            Chaos.transport ~rng:(Mutil.Rng.split_at root 1) ~plan:Chaos.lossy
+              server
           in
-          ( Serve.Client.connect_via ~retry:chaos_retry
-              ~rng:(Mutil.Rng.split_at root 2)
-              transport,
-            server ) );
+          Serve.Client.connect_via ~retry:chaos_retry
+            ~rng:(Mutil.Rng.split_at root 2)
+            transport );
       ( "degraded-mode",
-        fun metrics ->
-          let server = Serve.Server.create ~metrics ~store () in
+        fun server ->
           let keep = if smoke then 20 else 60 in
-          let source =
-            Chaos.failing_source ~after:keep (Array.to_list batches)
-          in
-          ignore (Serve.Server.tail server source);
+          ignore
+            (Serve.Server.tail server
+               (Chaos.failing_source ~after:keep (Array.to_list batches)));
           (match Serve.Server.health server with
           | Serve.Server.Degraded _ -> ()
           | Serve.Server.Serving ->
             failwith "chaos suite: degraded arm is still serving");
-          (Serve.Client.connect server, server) );
+          Serve.Client.connect server );
     ]
   in
-  let oc = open_out out in
   let measured =
     List.map
-      (fun (name, build) ->
+      (fun (name, connect) ->
         let metrics = Obs.Registry.create () in
-        let client, server = build metrics in
-        let lats = Array.make total_requests 0.0 in
-        let failed = ref 0 in
-        let rejected = ref 0 in
-        let t0 = Unix.gettimeofday () in
-        for i = 0 to total_requests - 1 do
-          let t = Unix.gettimeofday () in
-          (match Serve.Client.call client (request i) with
-          | Serve.Proto.Entries _ | Serve.Proto.Count_is _ -> ()
-          | Serve.Proto.Rejected _ -> incr rejected
-          | r ->
-            failwith
-              ("chaos suite: unexpected response "
-              ^ Serve.Proto.render_response r)
-          | exception Serve.Client.Failed _ -> incr failed);
-          lats.(i) <- Unix.gettimeofday () -. t
-        done;
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let server = Serve.Server.create ~metrics ~store () in
+        let client = connect server in
+        let elapsed, load =
+          time (fun () ->
+              timed_requests ~suite:"chaos" client entries ~first:0 total)
+        in
         Serve.Client.close client;
-        Array.sort compare lats;
-        let pct p = lats.(min (total_requests - 1) (p * total_requests / 100)) in
-        let qps = float_of_int total_requests /. elapsed in
-        if not (qps > 0.0) then begin
-          close_out oc;
-          failwith "chaos suite: zero measured throughput"
-        end;
-        (name, elapsed, qps, pct 50, pct 99, !failed, !rejected,
-         Serve.Client.retries client, server, metrics))
+        ( name,
+          summarise ~suite:"chaos" elapsed load.lats,
+          load,
+          Serve.Client.retries client,
+          server,
+          metrics ))
       arms
   in
-  print_string
-    (Mutil.Text_table.render
-       ~header:
-         [ "arm"; "wall clock"; "queries/s"; "p50"; "p99"; "retries"; "failed" ]
-       (List.map
-          (fun (name, elapsed, qps, p50, p99, failed, _, retries, _, _) ->
-            [
-              name;
-              Printf.sprintf "%.3f s" elapsed;
-              Printf.sprintf "%.0f" qps;
-              Printf.sprintf "%.1f us" (1e6 *. p50);
-              Printf.sprintf "%.1f us" (1e6 *. p99);
-              string_of_int retries;
-              string_of_int failed;
-            ])
-          measured));
+  print_table
+    [ "arm"; "wall clock"; "queries/s"; "p50"; "p99"; "retries"; "failed" ]
+    (List.map
+       (fun (name, s, load, retries, _, _) ->
+         (name :: latency_cells s)
+         @ [ string_of_int retries; string_of_int load.failed ])
+       measured);
   List.iter
-    (fun (name, elapsed, qps, p50, p99, failed, rejected, retries, server,
-          server_metrics) ->
-      let extra =
+    (fun (name, s, load, retries, server, metrics) ->
+      let labels =
         [
           ("workload", "chaos-resilience");
           ("arm", name);
-          ("cores", cores);
-          ("entries", string_of_int n_entries);
+          cores_label;
+          ("entries", string_of_int (Array.length entries));
         ]
       in
-      let reg = Obs.Registry.create () in
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_requests_total")
-        total_requests;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_failed_total")
-        failed;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_rejected_total")
-        rejected;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_retries_total")
-        retries;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_shed_total")
-        (Serve.Server.shed_total server);
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "chaos_timeouts_total")
-        (Serve.Server.timeout_total server);
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "chaos_wall_clock_seconds")
-        elapsed;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "chaos_queries_per_second")
-        qps;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "chaos_latency_p50_seconds")
-        p50;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "chaos_latency_p99_seconds")
-        p99;
-      output_string oc (Obs.Registry.to_json_lines ~extra reg);
-      output_string oc
-        (Obs.Registry.to_json_lines
-           ~extra:(("side", "daemon") :: extra)
-           server_metrics))
-    measured;
-  close_out oc;
-  say "";
-  say "chaos dump written to %s" out
+      point oc ~labels
+        ~counters:
+          [
+            ("chaos_requests_total", total);
+            ("chaos_failed_total", load.failed);
+            ("chaos_rejected_total", load.rejected);
+            ("chaos_retries_total", retries);
+            ("chaos_shed_total", Serve.Server.shed_total server);
+            ("chaos_timeouts_total", Serve.Server.timeout_total server);
+          ]
+        ~gauges:(latency_gauges "chaos" s);
+      point oc ~reg:metrics ~labels:(("side", "daemon") :: labels) ~counters:[]
+        ~gauges:[])
+    measured
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: allocation-discipline ingest grid (BENCH_8.json).  The two
-   hottest end-to-end ingest workloads — the Part 6 stream firehose and
-   the Part 7 collector mesh — re-run with GC telemetry: every grid
-   point stamps minor words allocated per ingested event alongside
-   throughput, so the allocation discipline of the decode / intern /
-   partition / merge path is a regression-guarded number rather than a
-   hope.  Report byte-identity across the grid is asserted exactly as in
-   the source suites.  [--ingest-budget] turns the jobs=1 minor-words
-   figure into a hard gate for CI; on a machine with at least four cores
-   the suite also fails outright if jobs=4 throughput drops below
-   jobs=1. *)
+(* ingest: the two hottest end-to-end ingest workloads — the stream
+   firehose and the collector mesh — with GC telemetry (BENCH_8.json).
+   Every grid point stamps minor words allocated per ingested event
+   (counted over all domains) next to throughput; reports must be
+   byte-identical across the grid.  The jobs=1 figure must stay within
+   [ingest_budget], and on a machine with at least four cores jobs=4 must
+   not be slower than jobs=1. *)
 
-let ingest_jobs = [ 1; 2; 4; 8 ]
+let ingest_budget = 60.0
 let ingest_vantage_counts = [ 2; 4; 8 ]
 
-(* the 1/10-size archive used for CI smoke runs *)
-let ingest_smoke_params =
-  {
-    Measurement.Synthetic_routeviews.default_params with
-    Measurement.Synthetic_routeviews.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
-
-let run_ingest_bench ~smoke ~budget ~out () =
+let run_ingest ~smoke ~jobs:_ oc =
   banner "Allocation-free ingest grid (GC-stamped throughput)";
-  let cores_n = Domain.recommended_domain_count () in
-  say "   cores online: %d (Domain.recommended_domain_count)" cores_n;
-  let cores = string_of_int cores_n in
-  let annotate =
-    Stream.Source.trusted_annotator
-      ~distrusted:
-        (Asn.Set.of_list
-           [
-             Measurement.Synthetic_routeviews.fault_as_1998;
-             Measurement.Synthetic_routeviews.fault_as_2001;
-           ])
-      ()
-  in
-  let params =
-    if smoke then ingest_smoke_params
-    else Measurement.Synthetic_routeviews.default_params
-  in
-  let batches = Stream.Source.archive_batches ~annotate params in
+  let batches = archive ~smoke in
   let archive_events =
-    Array.fold_left
-      (fun acc b -> acc + Array.length b.Stream.Source.events)
-      0 batches
+    Array.fold_left (fun n b -> n + Array.length b.Stream.Source.events) 0 batches
   in
   let runs = if smoke then 2 else 3 in
   say "   archive: %d day batches, %d update events, %d runs per grid point"
     (Array.length batches) archive_events runs;
-  let oc = open_out out in
+  (* per-run wall clock and minor words.  Gc.minor_words counts only the
+     calling domain, so words come from Gc.quick_stat, which adds the
+     pool's domains; its count for the calling domain only advances at a
+     minor collection, hence the Gc.minor before each (untimed) read. *)
   let measure replay jobs =
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let state = ref (replay jobs) in
-    for _ = 2 to runs do
-      state := replay jobs
-    done;
-    let elapsed = (Unix.gettimeofday () -. t0) /. float_of_int runs in
-    let words = (Gc.minor_words () -. w0) /. float_of_int runs in
-    (elapsed, words, !state)
+    let minor_words () =
+      Gc.minor ();
+      (Gc.quick_stat ()).Gc.minor_words
+    in
+    let w0 = minor_words () in
+    let elapsed, state =
+      time (fun () ->
+          for _ = 2 to runs do
+            ignore (replay jobs)
+          done;
+          replay jobs)
+    in
+    let per_run x = x /. float_of_int runs in
+    (per_run elapsed, per_run (minor_words () -. w0), state)
   in
   (* measured: (jobs, elapsed, minor words per event, rendered report) *)
   let emit ~workload ~extra ~events measured =
     let t1 = match measured with (_, e, _, _) :: _ -> e | [] -> nan in
-    print_string
-      (Mutil.Text_table.render
-         ~header:
-           [ "jobs"; "wall clock"; "events/s"; "speedup"; "minor words/event" ]
-         (List.map
-            (fun (jobs, elapsed, wpe, _) ->
-              [
-                string_of_int jobs;
-                Printf.sprintf "%.3f s" elapsed;
-                Printf.sprintf "%.0f" (float_of_int events /. elapsed);
-                Printf.sprintf "%.2fx" (t1 /. elapsed);
-                Printf.sprintf "%.1f" wpe;
-              ])
-            measured));
-    (match measured with
-    | (_, _, _, r0) :: rest ->
-      let deterministic =
-        List.for_all (fun (_, _, _, r) -> String.equal r r0) rest
-      in
-      say "   reports byte-identical at every job count: %b" deterministic;
-      if not deterministic then (
-        close_out oc;
-        failwith
-          (Printf.sprintf "ingest suite: %s reports differ across job counts"
-             workload))
-    | [] -> ());
+    print_table
+      [ "jobs"; "wall clock"; "events/s"; "speedup"; "minor words/event" ]
+      (List.map
+         (fun (jobs, elapsed, wpe, _) ->
+           [
+             string_of_int jobs;
+             seconds elapsed;
+             rate events elapsed;
+             Printf.sprintf "%.2fx" (t1 /. elapsed);
+             Printf.sprintf "%.1f" wpe;
+           ])
+         measured);
+    check_identical ~suite:"ingest" ~what:(workload ^ " reports")
+      (List.map (fun (_, _, _, r) -> r) measured);
     List.iter
       (fun (jobs, elapsed, wpe, _) ->
-        let reg = Obs.Registry.create () in
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "ingest_wall_clock_seconds")
-          elapsed;
-        Obs.Registry.Counter.add
-          (Obs.Registry.counter reg "ingest_events_total")
-          events;
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "ingest_events_per_second")
-          (float_of_int events /. elapsed);
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "ingest_speedup_vs_one_job")
-          (t1 /. elapsed);
-        Obs.Registry.Gauge.set
-          (Obs.Registry.gauge reg "ingest_minor_words_per_event")
-          wpe;
-        output_string oc
-          (Obs.Registry.to_json_lines
-             ~extra:
-               (("workload", workload)
-               :: ("jobs", string_of_int jobs)
-               :: ("cores", cores)
-               :: saturated jobs
-               :: ("runs", string_of_int runs)
-               :: ("events", string_of_int events)
-               :: extra)
-             reg))
+        point oc
+          ~labels:
+            ((("workload", workload)
+             :: ("jobs", string_of_int jobs)
+             :: ("runs", string_of_int runs)
+             :: ("events", string_of_int events)
+             :: stamp jobs)
+            @ extra)
+          ~counters:[ ("ingest_events_total", events) ]
+          ~gauges:
+            [
+              ("ingest_wall_clock_seconds", elapsed);
+              ("ingest_events_per_second", float_of_int events /. elapsed);
+              ("ingest_speedup_vs_one_job", t1 /. elapsed);
+              ("ingest_minor_words_per_event", wpe);
+            ])
       measured;
-    (* per-machine guards: the allocation budget at jobs=1, and scaling
-       monotonicity where the machine can actually express it *)
     match measured with
-    | (1, elapsed1, wpe1, _) :: _ ->
-      if budget > 0.0 && wpe1 > budget then (
-        close_out oc;
+    | (1, elapsed1, wpe1, _) :: _ -> (
+      if wpe1 > ingest_budget then
         failwith
           (Printf.sprintf
              "ingest suite: %s allocates %.1f minor words/event at jobs=1, \
               budget is %.1f"
-             workload wpe1 budget));
-      (match List.find_opt (fun (j, _, _, _) -> j = 4) measured with
-      | Some (_, elapsed4, _, _) when cores_n >= 4 && elapsed4 > elapsed1 ->
-        close_out oc;
+             workload wpe1 ingest_budget);
+      match List.find_opt (fun (j, _, _, _) -> j = 4) measured with
+      | Some (_, elapsed4, _, _) when cores >= 4 && elapsed4 > elapsed1 ->
         failwith
           (Printf.sprintf
              "ingest suite: %s is slower at jobs=4 than jobs=1 on a %d-core \
               machine"
-             workload cores_n)
+             workload cores)
       | _ -> ())
     | _ -> ()
   in
-  (* workload 1: the stream firehose — pool-sized chunks through the
-     sharded monitor (identical construction to Part 6) *)
+  (* workload 1: the stream firehose — the archive re-chunked into
+     pool-sized batches through the sharded monitor *)
   say "";
   say "-- workload stream-firehose --";
   let firehose_chunks =
@@ -1329,73 +835,60 @@ let run_ingest_bench ~smoke ~budget ~out () =
            elapsed,
            words /. float_of_int archive_events,
            Stream.Report.render (Stream.Sharded.snapshot monitor) ))
-       ingest_jobs);
-  (* workload 2: the collector mesh (identical construction to Part 7);
-     the lossless union makes the merged report one fixed reference
-     across vantage counts too *)
+       grid_jobs);
+  (* workload 2: the collector mesh; the lossless union makes the merged
+     report one fixed reference across vantage counts too *)
   let reference_report = ref None in
   List.iter
     (fun vantages ->
-      let streams =
-        Collect.Vantage.replay ~coverage:collect_coverage ~vantages
-          ~seed:0xC011EC7L batches
-      in
+      let streams = vantage_streams ~vantages batches in
       let stream_events =
         List.fold_left (fun acc (_, evs) -> acc + Array.length evs) 0 streams
       in
       say "";
       say "-- workload collect-mesh: %d vantages --" vantages;
-      let replay jobs =
-        Collect.Mesh.run ~jobs Stream.Monitor.default_config streams
-      in
       let measured =
         List.map
           (fun jobs ->
-            let elapsed, words, r = measure replay jobs in
+            let elapsed, words, r =
+              measure
+                (fun jobs ->
+                  Collect.Mesh.run ~jobs Stream.Monitor.default_config streams)
+                jobs
+            in
             let events = stream_events + r.Collect.Mesh.r_merged_events in
             ( jobs,
               elapsed,
               words /. float_of_int events,
               (events, Stream.Report.render r.Collect.Mesh.r_merged) ))
-          ingest_jobs
+          grid_jobs
       in
-      let events =
-        match measured with (_, _, _, (e, _)) :: _ -> e | [] -> 0
+      let events, report =
+        match measured with (_, _, _, er) :: _ -> er | [] -> (0, "")
       in
-      (match (!reference_report, measured) with
-      | Some r0, (_, _, _, (_, r)) :: _ when not (String.equal r0 r) ->
-        close_out oc;
+      (match !reference_report with
+      | Some r0 when not (String.equal r0 report) ->
         failwith "ingest suite: merged report differs across vantage counts"
-      | None, (_, _, _, (_, r)) :: _ -> reference_report := Some r
-      | _ -> ());
+      | Some _ -> ()
+      | None -> reference_report := Some report);
       emit ~workload:"collect-mesh"
         ~extra:[ ("vantages", string_of_int vantages) ]
         ~events
         (List.map (fun (j, e, w, (_, r)) -> (j, e, w, r)) measured))
-    ingest_vantage_counts;
-  close_out oc;
-  say "";
-  say "ingest dump written to %s" out
+    ingest_vantage_counts
 
 (* ------------------------------------------------------------------ *)
-(* Part 11: classifier corpus/training grid (BENCH_9.json).  The
-   lib/classify pipeline staged — parallel corpus capture, logistic +
-   stump training, full train/eval — across corpus size × job count.
-   Per grid point: stage wall-clocks and training throughput
-   (examples/s), with the rendered evaluation report asserted
-   byte-identical at every job count, exactly the CLI's determinism
-   contract.  A zero training throughput fails the suite outright, so
-   the CI smoke run guards against a silently-empty corpus. *)
+(* classify: the lib/classify pipeline staged — parallel corpus capture,
+   logistic + stump training, full train/eval — across corpus size × job
+   count (BENCH_9.json).  The rendered evaluation report must be
+   byte-identical at every job count, and a zero training throughput
+   fails the suite, so a smoke run guards against a silently-empty
+   corpus. *)
 
-let classify_jobs = [ 1; 2; 4; 8 ]
 let classify_seed = 0xC1A55L
 
-let run_classify_bench ~smoke ~out () =
+let run_classify ~smoke ~jobs:_ oc =
   banner "Classifier corpus/training grid";
-  let cores_n = Domain.recommended_domain_count () in
-  say "   cores online: %d (Domain.recommended_domain_count)" cores_n;
-  let cores = string_of_int cores_n in
-  let oc = open_out out in
   (* the paper topologies are memoised: build them outside the timed
      region so the first grid point is not charged for derivation *)
   if smoke then ignore (Topology.Paper_topologies.topology_25 ())
@@ -1410,12 +903,11 @@ let run_classify_bench ~smoke ~out () =
       let measured =
         List.map
           (fun jobs ->
-            let t0 = Unix.gettimeofday () in
-            let corpus =
-              Classify.Corpus.build ~jobs ~smoke:corpus_smoke
-                ~seed:classify_seed ()
+            let t_corpus, corpus =
+              time (fun () ->
+                  Classify.Corpus.build ~jobs ~smoke:corpus_smoke
+                    ~seed:classify_seed ())
             in
-            let t_corpus = Unix.gettimeofday () -. t0 in
             let train, _ = Classify.Corpus.split corpus in
             let training =
               List.map
@@ -1423,204 +915,124 @@ let run_classify_bench ~smoke ~out () =
                   (ex.Classify.Corpus.ex_features, ex.Classify.Corpus.ex_label))
                 train
             in
-            let t1 = Unix.gettimeofday () in
-            ignore
-              (Classify.Model.train_logistic ~dim:Classify.Features.dim
-                 training);
-            ignore
-              (Classify.Model.train_stumps ~dim:Classify.Features.dim training);
-            let t_train = Unix.gettimeofday () -. t1 in
-            let t2 = Unix.gettimeofday () in
-            let ev = Classify.Eval.of_corpus corpus in
-            let t_eval = Unix.gettimeofday () -. t2 in
-            let report = Classify.Eval.render ev.Classify.Eval.ev_report in
+            let t_train, () =
+              time (fun () ->
+                  let dim = Classify.Features.dim in
+                  ignore (Classify.Model.train_logistic ~dim training);
+                  ignore (Classify.Model.train_stumps ~dim training))
+            in
+            let t_eval, ev = time (fun () -> Classify.Eval.of_corpus corpus) in
+            let throughput = float_of_int (List.length train) /. t_train in
+            if not (throughput > 0.0) then
+              failwith
+                (Printf.sprintf
+                   "classify suite: %s training throughput is zero at jobs=%d"
+                   label jobs);
             ( jobs,
               corpus,
               List.length train,
-              t_corpus,
-              t_train,
-              t_eval,
-              report ))
-          classify_jobs
+              (t_corpus, t_train, t_eval, throughput),
+              Classify.Eval.render ev.Classify.Eval.ev_report ))
+          grid_jobs
       in
-      print_string
-        (Mutil.Text_table.render
-           ~header:
+      print_table
+        [ "jobs"; "corpus"; "train"; "train+eval"; "examples"; "train ex/s" ]
+        (List.map
+           (fun (jobs, corpus, _, (t_corpus, t_train, t_eval, throughput), _) ->
              [
-               "jobs";
-               "corpus";
-               "train";
-               "train+eval";
-               "examples";
-               "train ex/s";
-             ]
-           (List.map
-              (fun (jobs, corpus, train_n, t_corpus, t_train, t_eval, _) ->
-                [
-                  string_of_int jobs;
-                  Printf.sprintf "%.3f s" t_corpus;
-                  Printf.sprintf "%.3f s" t_train;
-                  Printf.sprintf "%.3f s" t_eval;
-                  string_of_int
-                    (List.length corpus.Classify.Corpus.c_examples);
-                  Printf.sprintf "%.0f" (float_of_int train_n /. t_train);
-                ])
-              measured));
-      (match measured with
-      | (_, _, _, _, _, _, r0) :: rest ->
-        let deterministic =
-          List.for_all (fun (_, _, _, _, _, _, r) -> String.equal r r0) rest
-        in
-        say "   reports byte-identical at every job count: %b" deterministic;
-        if not deterministic then (
-          close_out oc;
-          failwith
-            (Printf.sprintf
-               "classify suite: %s reports differ across job counts" label))
-      | [] -> ());
+               string_of_int jobs;
+               seconds t_corpus;
+               seconds t_train;
+               seconds t_eval;
+               string_of_int (List.length corpus.Classify.Corpus.c_examples);
+               Printf.sprintf "%.0f" throughput;
+             ])
+           measured);
+      check_identical ~suite:"classify" ~what:(label ^ " reports")
+        (List.map (fun (_, _, _, _, r) -> r) measured);
       List.iter
-        (fun (jobs, corpus, train_n, t_corpus, t_train, t_eval, _) ->
-          let throughput = float_of_int train_n /. t_train in
-          if not (throughput > 0.0) then (
-            close_out oc;
-            failwith
-              (Printf.sprintf
-                 "classify suite: %s training throughput is zero at jobs=%d"
-                 label jobs));
-          let reg = Obs.Registry.create () in
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "classify_runs")
-            corpus.Classify.Corpus.c_runs;
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "classify_examples")
-            (List.length corpus.Classify.Corpus.c_examples);
-          Obs.Registry.Counter.add
-            (Obs.Registry.counter reg "classify_train_examples")
-            train_n;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "classify_corpus_seconds")
-            t_corpus;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "classify_train_seconds")
-            t_train;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "classify_eval_seconds")
-            t_eval;
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg "classify_train_examples_per_second")
-            throughput;
-          output_string oc
-            (Obs.Registry.to_json_lines
-               ~extra:
-                 (("workload", "classify")
-                 :: ("corpus", label)
-                 :: ("jobs", string_of_int jobs)
-                 :: ("cores", cores)
-                 :: [ saturated jobs ])
-               reg))
+        (fun (jobs, corpus, train_n, (t_corpus, t_train, t_eval, throughput), _) ->
+          point oc
+            ~labels:
+              (("workload", "classify")
+              :: ("corpus", label)
+              :: ("jobs", string_of_int jobs)
+              :: stamp jobs)
+            ~counters:
+              [
+                ("classify_runs", corpus.Classify.Corpus.c_runs);
+                ( "classify_examples",
+                  List.length corpus.Classify.Corpus.c_examples );
+                ("classify_train_examples", train_n);
+              ]
+            ~gauges:
+              [
+                ("classify_corpus_seconds", t_corpus);
+                ("classify_train_seconds", t_train);
+                ("classify_eval_seconds", t_eval);
+                ("classify_train_examples_per_second", throughput);
+              ])
         measured)
-    corpora;
-  close_out oc;
-  say "";
-  say "classify dump written to %s" out
+    corpora
 
-(* Part 12: community-telemetry head-to-head grid (BENCH_10.json).  The
-   Experiments.Community evaluation — every scenario arm against five
-   detectors under the community usage-policy model — at each job count.
-   Per grid point: wall-clock, watch-observation throughput (events/s)
-   and the per-arm precision/recall/F1 of every detector, with the
-   rendered report asserted byte-identical across the whole grid.  Zero
-   detection throughput or a broken Section-4.3 gap (scrubbing must
-   blind the MOAS list while the community backend keeps firing) fails
-   the suite outright. *)
+(* ------------------------------------------------------------------ *)
+(* community: the Experiments.Community evaluation — every scenario arm
+   against five detectors under the community usage-policy model — at
+   each job count (BENCH_10.json).  Per grid point: wall clock,
+   watch-observation throughput and the per-arm precision/recall/F1 of
+   every detector; the rendered report must be byte-identical across the
+   grid.  Zero detection throughput or a broken Section-4.3 gap
+   (scrubbing must blind the MOAS list while the community backend keeps
+   firing) fails the suite. *)
 
-let community_bench_jobs = [ 1; 2; 4; 8 ]
-
-let run_community_bench ~smoke ~out () =
+let run_community ~smoke ~jobs:_ oc =
   banner "Community-telemetry head-to-head grid";
-  let cores_n = Domain.recommended_domain_count () in
-  say "   cores online: %d (Domain.recommended_domain_count)" cores_n;
-  let cores = string_of_int cores_n in
-  let oc = open_out out in
   (* memoised topologies: derive them outside the timed region *)
   if smoke then ignore (Topology.Paper_topologies.topology_25 ())
   else ignore (Topology.Paper_topologies.all ());
+  let open Experiments.Community in
   let measured =
     List.map
       (fun jobs ->
-        let t0 = Unix.gettimeofday () in
-        let result = Experiments.Community.evaluate ~smoke ~jobs () in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        (jobs, result, elapsed, Experiments.Community.render result))
-      community_bench_jobs
+        let elapsed, result = time (fun () -> evaluate ~smoke ~jobs ()) in
+        if not (float_of_int result.r_events /. elapsed > 0.0) then
+          failwith
+            (Printf.sprintf
+               "community suite: detection throughput is zero at jobs=%d" jobs);
+        if not (scrubbing_gap_holds result) then
+          failwith
+            (Printf.sprintf
+               "community suite: scrubbing gap does not hold at jobs=%d" jobs);
+        (jobs, result, elapsed))
+      grid_jobs
   in
-  print_string
-    (Mutil.Text_table.render
-       ~header:[ "jobs"; "eval"; "runs"; "events"; "events/s"; "gap" ]
-       (List.map
-          (fun (jobs, result, elapsed, _) ->
-            [
-              string_of_int jobs;
-              Printf.sprintf "%.3f s" elapsed;
-              string_of_int result.Experiments.Community.r_runs;
-              string_of_int result.Experiments.Community.r_events;
-              Printf.sprintf "%.0f"
-                (float_of_int result.Experiments.Community.r_events
-                /. elapsed);
-              (if Experiments.Community.scrubbing_gap_holds result then
-                 "holds"
-               else "BROKEN");
-            ])
-          measured));
-  (match measured with
-  | (_, _, _, r0) :: rest ->
-    let deterministic =
-      List.for_all (fun (_, _, _, r) -> String.equal r r0) rest
-    in
-    say "   reports byte-identical at every job count: %b" deterministic;
-    if not deterministic then (
-      close_out oc;
-      failwith "community suite: reports differ across job counts")
-  | [] -> ());
+  print_table
+    [ "jobs"; "eval"; "runs"; "events"; "events/s" ]
+    (List.map
+       (fun (jobs, result, elapsed) ->
+         [
+           string_of_int jobs;
+           seconds elapsed;
+           string_of_int result.r_runs;
+           string_of_int result.r_events;
+           rate result.r_events elapsed;
+         ])
+       measured);
+  check_identical ~suite:"community" ~what:"reports"
+    (List.map (fun (_, result, _) -> render result) measured);
   List.iter
-    (fun (jobs, result, elapsed, _) ->
-      let open Experiments.Community in
-      let throughput = float_of_int result.r_events /. elapsed in
-      if not (throughput > 0.0) then (
-        close_out oc;
-        failwith
-          (Printf.sprintf
-             "community suite: detection throughput is zero at jobs=%d" jobs));
-      if not (scrubbing_gap_holds result) then (
-        close_out oc;
-        failwith
-          (Printf.sprintf
-             "community suite: scrubbing gap does not hold at jobs=%d" jobs));
+    (fun (jobs, result, elapsed) ->
+      (* per-reason alarm counters and per-(arm, detector) scores carry
+         their own labels *)
       let reg = Obs.Registry.create () in
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "community_runs")
-        result.r_runs;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "community_watch_events")
-        result.r_events;
-      Obs.Registry.Counter.add
-        (Obs.Registry.counter reg "community_values_scrubbed")
-        result.r_scrubbed_values;
       List.iter
         (fun (reason, n) ->
           Obs.Registry.Counter.add
             (Obs.Registry.counter reg
-               ~labels:
-                 [ ("reason", Moas.Community_watch.reason_to_string reason) ]
+               ~labels:[ ("reason", Moas.Community_watch.reason_to_string reason) ]
                "community_alarms")
             n)
         result.r_reasons;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "community_eval_seconds")
-        elapsed;
-      Obs.Registry.Gauge.set
-        (Obs.Registry.gauge reg "community_events_per_second")
-        throughput;
       List.iter
         (fun sc ->
           let arm =
@@ -1629,137 +1041,108 @@ let run_community_bench ~smoke ~out () =
             | None -> "overall"
           in
           let labels = [ ("arm", arm); ("detector", sc.sc_detector) ] in
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg ~labels "community_precision")
-            (Mutil.Stats.precision sc.sc_confusion);
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg ~labels "community_recall")
-            (Mutil.Stats.recall sc.sc_confusion);
-          Obs.Registry.Gauge.set
-            (Obs.Registry.gauge reg ~labels "community_f1")
-            (Mutil.Stats.f1 sc.sc_confusion))
+          List.iter
+            (fun (name, score) ->
+              Obs.Registry.Gauge.set
+                (Obs.Registry.gauge reg ~labels name)
+                (score sc.sc_confusion))
+            [
+              ("community_precision", Mutil.Stats.precision);
+              ("community_recall", Mutil.Stats.recall);
+              ("community_f1", Mutil.Stats.f1);
+            ])
         result.r_scores;
-      output_string oc
-        (Obs.Registry.to_json_lines
-           ~extra:
-             (("workload", "community")
-             :: ("corpus", if smoke then "smoke" else "full")
-             :: ("jobs", string_of_int jobs)
-             :: ("cores", cores)
-             :: [ saturated jobs ])
-           reg))
-    measured;
-  close_out oc;
-  say "";
-  say "community dump written to %s" out
+      point oc ~reg
+        ~labels:
+          (("workload", "community")
+          :: ("corpus", if smoke then "smoke" else "full")
+          :: ("jobs", string_of_int jobs)
+          :: stamp jobs)
+        ~counters:
+          [
+            ("community_runs", result.r_runs);
+            ("community_watch_events", result.r_events);
+            ("community_values_scrubbed", result.r_scrubbed_values);
+          ]
+        ~gauges:
+          [
+            ("community_eval_seconds", elapsed);
+            ( "community_events_per_second",
+              float_of_int result.r_events /. elapsed );
+          ])
+    measured
 
 (* ------------------------------------------------------------------ *)
+(* The suite table and the driver.  Each suite's dump file is opened
+   once, under --out DIR, and closed however the suite ends.             *)
+
+let suites =
+  [
+    ("figures", Some "BENCH_1.json", run_figures);
+    ("micro", None, run_micro);
+    ("scaling", Some "BENCH_3.json", run_scaling);
+    ("serve", Some "BENCH_6.json", run_serve);
+    ("chaos", Some "BENCH_7.json", run_chaos);
+    ("ingest", Some "BENCH_8.json", run_ingest);
+    ("classify", Some "BENCH_9.json", run_classify);
+    ("community", Some "BENCH_10.json", run_community);
+  ]
+
+let suite_names = List.map (fun (name, _, _) -> name) suites
 
 let () =
   let smoke = ref false in
-  let scaling_only = ref false in
-  let no_scaling = ref false in
-  let stream_only = ref false in
-  let no_stream = ref false in
-  let collect_only = ref false in
-  let no_collect = ref false in
-  let serve_only = ref false in
-  let no_serve = ref false in
-  let chaos_only = ref false in
-  let no_chaos = ref false in
-  let ingest_only = ref false in
-  let no_ingest = ref false in
-  let classify_only = ref false in
-  let no_classify = ref false in
-  let community_only = ref false in
-  let no_community = ref false in
-  let ingest_budget = ref 0.0 in
-  let out = ref "BENCH_1.json" in
-  let scaling_out = ref "BENCH_3.json" in
-  let stream_out = ref "BENCH_4.json" in
-  let collect_out = ref "BENCH_5.json" in
-  let serve_out = ref "BENCH_6.json" in
-  let chaos_out = ref "BENCH_7.json" in
-  let ingest_out = ref "BENCH_8.json" in
-  let classify_out = ref "BENCH_9.json" in
-  let community_out = ref "BENCH_10.json" in
+  let picked = ref [] in
+  let dir = ref "." in
   let jobs = ref 0 in
+  let pick s =
+    picked := String.split_on_char ',' s;
+    List.iter
+      (fun name ->
+        if not (List.mem name suite_names) then
+          raise
+            (Arg.Bad
+               (Printf.sprintf "unknown suite %S (known: %s)" name
+                  (String.concat "," suite_names))))
+      !picked
+  in
   let spec =
     [
-      ("--smoke", Arg.Set smoke, " figures + metrics dump only, skip Bechamel");
-      ("--out", Arg.Set_string out, "FILE metrics dump destination (default BENCH_1.json)");
-      ("--scaling-only", Arg.Set scaling_only, " run only the large-topology scaling suite");
-      ("--no-scaling", Arg.Set no_scaling, " skip the large-topology scaling suite");
-      ("--scaling-out", Arg.Set_string scaling_out, "FILE scaling dump destination (default BENCH_3.json)");
-      ("--stream-only", Arg.Set stream_only, " run only the stream-monitor throughput suite");
-      ("--no-stream", Arg.Set no_stream, " skip the stream-monitor throughput suite");
-      ("--stream-out", Arg.Set_string stream_out, "FILE stream dump destination (default BENCH_4.json)");
-      ("--collect-only", Arg.Set collect_only, " run only the collector-mesh suite");
-      ("--no-collect", Arg.Set no_collect, " skip the collector-mesh suite");
-      ("--collect-out", Arg.Set_string collect_out, "FILE collector-mesh dump destination (default BENCH_5.json)");
-      ("--serve-only", Arg.Set serve_only, " run only the serve-daemon load-generator suite");
-      ("--no-serve", Arg.Set no_serve, " skip the serve-daemon load-generator suite");
-      ("--serve-out", Arg.Set_string serve_out, "FILE serve-daemon dump destination (default BENCH_6.json)");
-      ("--chaos-only", Arg.Set chaos_only, " run only the resilience / chaos-transport suite");
-      ("--no-chaos", Arg.Set no_chaos, " skip the resilience / chaos-transport suite");
-      ("--chaos-out", Arg.Set_string chaos_out, "FILE resilience dump destination (default BENCH_7.json)");
-      ("--ingest-only", Arg.Set ingest_only, " run only the GC-stamped ingest grid");
-      ("--no-ingest", Arg.Set no_ingest, " skip the GC-stamped ingest grid");
-      ("--ingest-out", Arg.Set_string ingest_out, "FILE ingest-grid dump destination (default BENCH_8.json)");
-      ("--classify-only", Arg.Set classify_only, " run only the classifier corpus/training grid");
-      ("--no-classify", Arg.Set no_classify, " skip the classifier corpus/training grid");
-      ("--classify-out", Arg.Set_string classify_out, "FILE classifier-grid dump destination (default BENCH_9.json)");
-      ("--community-only", Arg.Set community_only, " run only the community-telemetry head-to-head grid");
-      ("--no-community", Arg.Set no_community, " skip the community-telemetry head-to-head grid");
-      ("--community-out", Arg.Set_string community_out, "FILE community-grid dump destination (default BENCH_10.json)");
-      ("--ingest-budget", Arg.Set_float ingest_budget, "WORDS fail if jobs=1 ingest allocates more minor words per event (default: off)");
+      ("--smoke", Arg.Set smoke, " CI-sized inputs; without --suite, run figures only");
+      ( "--suite",
+        Arg.String pick,
+        "A,B,... suites to run, from " ^ String.concat "," suite_names
+        ^ " (default: all)" );
+      ("--out", Arg.Set_string dir, "DIR directory for the JSON-lines dumps (default .)");
       ("--jobs", Arg.Set_int jobs, "N worker domains for the figure sweeps (default MOAS_JOBS or the core count)");
     ]
   in
   Arg.parse (Arg.align spec)
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--smoke] [--out FILE] [--scaling-only] [--no-scaling] \
-     [--scaling-out FILE] [--stream-only] [--no-stream] [--stream-out FILE] \
-     [--collect-only] [--no-collect] [--collect-out FILE] [--serve-only] \
-     [--no-serve] [--serve-out FILE] [--chaos-only] [--no-chaos] \
-     [--chaos-out FILE] [--ingest-only] [--no-ingest] [--ingest-out FILE] \
-     [--classify-only] [--no-classify] [--classify-out FILE] \
-     [--community-only] [--no-community] [--community-out FILE] \
-     [--ingest-budget WORDS] [--jobs N]";
+    "main.exe [--smoke] [--suite A,B,...] [--out DIR] [--jobs N]";
+  let wanted =
+    match !picked with
+    | [] when !smoke -> [ "figures" ]
+    | [] -> suite_names
+    | picked -> picked
+  in
+  let smoke = !smoke in
   let jobs = if !jobs >= 1 then Some !jobs else None in
-  if !scaling_only then run_scaling ~out:!scaling_out ()
-  else if !stream_only then run_stream ~out:!stream_out ()
-  else if !collect_only then run_collect_bench ~out:!collect_out ()
-  else if !serve_only then run_serve_bench ~smoke:!smoke ~out:!serve_out ()
-  else if !chaos_only then run_chaos_bench ~smoke:!smoke ~out:!chaos_out ()
-  else if !ingest_only then
-    run_ingest_bench ~smoke:!smoke ~budget:!ingest_budget ~out:!ingest_out ()
-  else if !classify_only then
-    run_classify_bench ~smoke:!smoke ~out:!classify_out ()
-  else if !community_only then
-    run_community_bench ~smoke:!smoke ~out:!community_out ()
-  else begin
-    let tracer = Obs.Span.create () in
-    regenerate_figures ~tracer ?jobs ();
-    let named_registries = run_instrumented_workloads () in
-    banner "Phase timings (lib/obs spans)";
-    print_string (Obs.Span.to_table tracer);
-    write_dump ~out:!out ~tracer named_registries;
-    if not !smoke then begin
-      run_microbenches ();
-      if not !no_scaling then run_scaling ~out:!scaling_out ();
-      if not !no_stream then run_stream ~out:!stream_out ();
-      if not !no_collect then run_collect_bench ~out:!collect_out ();
-      if not !no_serve then run_serve_bench ~smoke:false ~out:!serve_out ();
-      if not !no_chaos then run_chaos_bench ~smoke:false ~out:!chaos_out ();
-      if not !no_ingest then
-        run_ingest_bench ~smoke:false ~budget:!ingest_budget
-          ~out:!ingest_out ();
-      if not !no_classify then
-        run_classify_bench ~smoke:false ~out:!classify_out ();
-      if not !no_community then
-        run_community_bench ~smoke:false ~out:!community_out ()
-    end
-  end;
+  if not (Sys.file_exists !dir) then Sys.mkdir !dir 0o755;
+  say "cores online: %d (Domain.recommended_domain_count)" cores;
+  List.iter
+    (fun (name, file, run) ->
+      if List.mem name wanted then
+        match file with
+        | None -> run ~smoke ~jobs stdout
+        | Some file ->
+          let path = Filename.concat !dir file in
+          let oc = open_out path in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> run ~smoke ~jobs oc);
+          say "";
+          say "%s dump written to %s" name path)
+    suites;
   say "";
   say "done."

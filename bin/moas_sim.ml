@@ -138,18 +138,11 @@ let run_simulate size n_origins n_attackers deployment policy seed runs =
 let run_robustness seed smoke jobs =
   print_string (Experiments.Robustness.report ?seed ~smoke ?jobs ())
 
-(* a 1/10-size archive with the same phenomenology, for CI smoke runs *)
-let smoke_monitor_params =
-  {
-    Measurement.Synthetic_routeviews.default_params with
-    Measurement.Synthetic_routeviews.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
+(* the annotator every archive-driven subcommand replays with: both fault
+   origins are distrusted *)
+let archive_annotator () =
+  Stream.Source.trusted_annotator
+    ~distrusted:Measurement.Synthetic_routeviews.fault_ases ()
 
 exception Monitor_stop
 
@@ -157,7 +150,7 @@ let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
     stop_after resume metrics_out =
   let params =
     let base =
-      if smoke then smoke_monitor_params
+      if smoke then Measurement.Synthetic_routeviews.smoke_params
       else Measurement.Synthetic_routeviews.default_params
     in
     match seed with
@@ -167,15 +160,7 @@ let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
   let annotate =
     match String.lowercase_ascii annotate with
     | "none" -> Stream.Source.no_annotation
-    | "trusted" ->
-      Stream.Source.trusted_annotator
-        ~distrusted:
-          (Net.Asn.Set.of_list
-             [
-               Measurement.Synthetic_routeviews.fault_as_1998;
-               Measurement.Synthetic_routeviews.fault_as_2001;
-             ])
-        ()
+    | "trusted" -> archive_annotator ()
     | s -> failwith ("unknown annotation policy: " ^ s)
   in
   let config = { Stream.Monitor.default_config with Stream.Monitor.window } in
@@ -413,16 +398,6 @@ let parse_query_or_die s =
   | Ok q -> q
   | Error msg -> failwith ("bad query: " ^ msg)
 
-let serve_annotator () =
-  Stream.Source.trusted_annotator
-    ~distrusted:
-      (Net.Asn.Set.of_list
-         [
-           Measurement.Synthetic_routeviews.fault_as_1998;
-           Measurement.Synthetic_routeviews.fault_as_2001;
-         ])
-    ()
-
 (* One scripted serve session: commands in, rendered responses out.  The
    transcript is deterministic — CI replays the same script twice and
    diffs the bytes. *)
@@ -484,7 +459,7 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
     failwith "--checkpoint-every needs --checkpoint FILE";
   let params =
     let base =
-      if smoke then smoke_monitor_params
+      if smoke then Measurement.Synthetic_routeviews.smoke_params
       else Measurement.Synthetic_routeviews.default_params
     in
     match seed with
@@ -512,7 +487,7 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
       Stream.Checkpoint.write_file path (Serve.Server.live_snapshot server)
     | None -> ()
   in
-  let source = Stream.Source.of_archive ~annotate:(serve_annotator ()) params in
+  let source = Stream.Source.of_archive ~annotate:(archive_annotator ()) params in
   let client = Serve.Client.connect server in
   let lines =
     match script with
@@ -589,9 +564,9 @@ let run_query_client store_path query_str count_only attempts timeout seed =
    of the seed (virtual clock, no wall time), so CI diffs two runs. *)
 
 let build_chaos_inputs ~smoke =
-  let annotate = serve_annotator () in
+  let annotate = archive_annotator () in
   let params =
-    if smoke then smoke_monitor_params
+    if smoke then Measurement.Synthetic_routeviews.smoke_params
     else Measurement.Synthetic_routeviews.default_params
   in
   let batches = Stream.Source.archive_batches ~annotate params in

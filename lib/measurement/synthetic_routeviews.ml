@@ -33,10 +33,23 @@ let default_params =
     event_2001_size = 970;
   }
 
+let smoke_params =
+  {
+    default_params with
+    universe_size = 400;
+    initial_long_lived = 65;
+    final_long_lived = 139;
+    one_day_churn = 24;
+    medium_churn = 9;
+    event_1998_size = 114;
+    event_2001_size = 97;
+  }
+
 type day_dump = { day : Day.t; table : (Prefix.t * Asn.Set.t) list }
 
 let fault_as_1998 = Asn.make 8584
 let fault_as_2001 = Asn.make 15412
+let fault_ases = Asn.Set.of_list [ fault_as_1998; fault_as_2001 ]
 
 let event_1998 = Day.of_ymd 1998 4 7
 let event_2001 = Day.of_ymd 2001 4 6

@@ -34,6 +34,10 @@ type params = {
 val default_params : params
 (** Calibrated to the paper's reported aggregates (see module doc). *)
 
+val smoke_params : params
+(** A 1/10-size archive with the same phenomenology (400 prefixes, both
+    fault events scaled down), for CI smoke runs and tests. *)
+
 type day_dump = {
   day : Mutil.Day.t;
   table : (Prefix.t * Asn.Set.t) list;
@@ -59,6 +63,10 @@ val fault_as_1998 : Asn.t
 
 val fault_as_2001 : Asn.t
 (** AS 15412, the origin of the 2001-04-06 fault. *)
+
+val fault_ases : Asn.Set.t
+(** Both fault origins: the set a trusted annotator distrusts when it
+    annotates the archive. *)
 
 val event_1998 : Mutil.Day.t
 (** 1998-04-07. *)

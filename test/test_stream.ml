@@ -23,21 +23,7 @@ let ann ?list o =
 
 let wd o = M.Withdraw { origin = Asn.make o }
 
-(* the 1/10-size archive used for CI smoke runs *)
-let smoke_params =
-  {
-    Srv.default_params with
-    Srv.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
-
-let distrusted = Asn.Set.of_list [ Srv.fault_as_1998; Srv.fault_as_2001 ]
-let annotate = Src.trusted_annotator ~distrusted ()
+let annotate = Src.trusted_annotator ~distrusted:Srv.fault_ases ()
 
 (* ---------------- episode lifecycle ---------------- *)
 
@@ -174,13 +160,67 @@ let archive_monitor ?metrics ~jobs () =
   let t = Sh.create ?metrics ~jobs M.default_config in
   Array.iter
     (fun b -> Sh.ingest_batch ~day_end:true t ~time:b.Src.time b.Src.events)
-    (Src.archive_batches ~annotate smoke_params);
+    (Src.archive_batches ~annotate Srv.smoke_params);
   t
 
 let test_sharding_invariance () =
   let r1 = Rp.render (Sh.snapshot (archive_monitor ~jobs:1 ())) in
   let r4 = Rp.render (Sh.snapshot (archive_monitor ~jobs:4 ())) in
   Alcotest.(check string) "reports identical at jobs 1 and 4" r1 r4
+
+(* The archive as a firehose: every event repeated as four replicas, cut
+   in time order into batches of at least [Sh.parallel_threshold] events
+   so that ingest at jobs > 1 goes through the domain pool rather than
+   inline.  The archive's prefixes are /16s and /24s on networks with a
+   zero low octet, which [Prefix.hash] sends to shard 0 modulo 4; replica
+   [r] lengthens the mask by [r] (lengths the archive never uses, so the
+   replicas stay distinct prefixes) and so lands in shard [r]. *)
+let firehose_batches () =
+  let replicas = 4 in
+  let events =
+    Src.archive_batches ~annotate Srv.smoke_params
+    |> Array.to_list
+    |> List.concat_map (fun b ->
+           List.concat_map
+             (fun e ->
+               let p = e.M.prefix in
+               List.init replicas (fun r ->
+                   {
+                     e with
+                     M.prefix = Prefix.make (Prefix.network p) (Prefix.length p + r);
+                   }))
+             (Array.to_list b.Src.events))
+    |> Array.of_list
+  in
+  let size = Sh.parallel_threshold in
+  let n = Array.length events / size in
+  List.init n (fun i ->
+      let lo = i * size in
+      let hi = if i = n - 1 then Array.length events else lo + size in
+      Array.sub events lo (hi - lo))
+
+let test_pool_branch_invariance () =
+  let batches = firehose_batches () in
+  Alcotest.(check bool) "firehose has batches" true (batches <> []);
+  List.iter
+    (fun events ->
+      Alcotest.(check bool) "batch reaches the pool threshold" true
+        (Array.length events >= Sh.parallel_threshold))
+    batches;
+  let run jobs =
+    let t = Sh.create ~jobs M.default_config in
+    List.iter
+      (fun events ->
+        Sh.ingest_batch t ~time:events.(Array.length events - 1).M.time events)
+      batches;
+    let sn = Sh.snapshot t in
+    (Rp.render sn, Ck.encode sn)
+  in
+  let r1, c1 = run 1 in
+  let r4, c4 = run 4 in
+  Alcotest.(check string) "reports identical at jobs 1 and 4" r1 r4;
+  Alcotest.(check bool) "checkpoint bytes identical at jobs 1 and 4" true
+    (Bytes.equal c1 c4)
 
 let test_alerts_spike_on_fault_days () =
   let sn = Sh.snapshot (archive_monitor ~jobs:2 ()) in
@@ -197,9 +237,9 @@ let test_alerts_spike_on_fault_days () =
     | Some w -> w.M.w_alerts
     | None -> 0
   in
-  Alcotest.(check int) "1998 event size" smoke_params.Srv.event_1998_size
+  Alcotest.(check int) "1998 event size" Srv.smoke_params.Srv.event_1998_size
     (alerts_on Srv.event_1998);
-  Alcotest.(check int) "2001 event size" smoke_params.Srv.event_2001_size
+  Alcotest.(check int) "2001 event size" Srv.smoke_params.Srv.event_2001_size
     (alerts_on Srv.event_2001)
 
 let test_archive_agrees_with_moas_cases () =
@@ -208,7 +248,7 @@ let test_archive_agrees_with_moas_cases () =
   let sn = Sh.snapshot (archive_monitor ~jobs:3 ()) in
   let summary =
     Mc.finalize
-      (Srv.fold_dumps smoke_params ~init:Mc.empty ~f:(fun acc d ->
+      (Srv.fold_dumps Srv.smoke_params ~init:Mc.empty ~f:(fun acc d ->
            Mc.ingest acc ~day:d.Srv.day d.Srv.table))
   in
   Alcotest.(check int) "observed days" summary.Mc.observed_day_count
@@ -307,7 +347,7 @@ let test_checkpoint_rejects_corruption () =
 let test_checkpoint_restore_converges () =
   (* checkpoint mid-stream at one job count, restore at another, replay
      the rest: the final report equals the uninterrupted run's *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let split = Array.length batches / 2 in
   let t = Sh.create ~jobs:2 M.default_config in
   Array.iteri
@@ -404,10 +444,10 @@ let test_source_pull_equals_fold () =
   (* draining the pull source yields exactly the fold_archive batches *)
   let folded =
     List.rev
-      (Src.fold_archive ~annotate smoke_params ~init:[] ~f:(fun acc b ->
+      (Src.fold_archive ~annotate Srv.smoke_params ~init:[] ~f:(fun acc b ->
            b :: acc))
   in
-  let s = Src.of_archive ~annotate smoke_params in
+  let s = Src.of_archive ~annotate Srv.smoke_params in
   let pulled = List.rev (Src.fold s ~init:[] ~f:(fun acc b -> b :: acc)) in
   Alcotest.(check int) "same batch count" (List.length folded)
     (List.length pulled);
@@ -419,7 +459,7 @@ let test_source_pull_equals_fold () =
   Alcotest.(check bool) "exhausted after fold" true (Src.next s = None)
 
 let test_source_close_is_final () =
-  let s = Src.of_batches (Src.archive_batches ~annotate smoke_params) in
+  let s = Src.of_batches (Src.archive_batches ~annotate Srv.smoke_params) in
   Alcotest.(check bool) "first pull succeeds" true (Src.next s <> None);
   Src.close s;
   Src.close s;
@@ -429,7 +469,7 @@ let test_ingest_source_equals_batch_loop () =
   (* the single ingestion entry point converges with the manual loop,
      including when the drain is split by max_batches *)
   let t = Sh.create ~jobs:2 M.default_config in
-  let s = Src.of_archive ~annotate smoke_params in
+  let s = Src.of_archive ~annotate Srv.smoke_params in
   let first = Sh.ingest_source ~max_batches:3 t s in
   Alcotest.(check int) "max_batches honoured" 3 first;
   let rest = Sh.ingest_source t s in
@@ -442,7 +482,7 @@ let test_ingest_source_equals_batch_loop () =
 let test_ingest_source_since_skips () =
   (* resume semantics: batches at or before `since` are skipped, matching
      what a checkpoint restore needs *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let split_time = batches.(Array.length batches / 2).Src.time in
   let t = Sh.create ~jobs:1 M.default_config in
   let skipped =
@@ -459,7 +499,7 @@ let test_ingest_source_closes_on_failure () =
   (* a failing pull must not leak the source: ingest_source closes it
      before the exception escapes, and the monitor stops exactly at the
      last completed batch *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let keep = 3 in
   let rec seq n bs () =
     if n = 0 then raise Boom
@@ -627,6 +667,8 @@ let () =
         [
           Alcotest.test_case "sharding invariance" `Quick
             test_sharding_invariance;
+          Alcotest.test_case "pool-sized batches invariance" `Quick
+            test_pool_branch_invariance;
           Alcotest.test_case "alerts spike on fault days" `Quick
             test_alerts_spike_on_fault_days;
           Alcotest.test_case "agrees with Moas_cases" `Quick
