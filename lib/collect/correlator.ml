@@ -19,68 +19,76 @@ type t = { c_vantages : string list; c_entries : entry list }
 
 let visibility e = List.length e.x_seen_by
 
-let overlaps ~started ~ended (v : Report.episode_view) =
-  (* open intervals extend to the end of time *)
-  let hi = Option.value ended ~default:max_int in
-  let v_hi = Option.value v.Report.v_ended ~default:max_int in
-  v.Report.v_started <= hi && started <= v_hi
+(* The correlation is one merge-join: every list below comes from
+   [Report.episodes], sorted by (prefix, start, seq), so each vantage
+   keeps a cursor that only moves forward as the merged list is walked. *)
+
+(* Drop the head episodes that overlap neither merged episode [prefix,
+   started] nor any merged episode after it: those on an earlier prefix,
+   and those on [prefix] that ended before [started] (the merged
+   episodes of a prefix come in start order). *)
+let rec skip prefix started = function
+  | (v : Report.episode_view) :: rest
+    when let c = Prefix.compare v.Report.v_prefix prefix in
+         c < 0
+         || c = 0
+            && Option.value v.Report.v_ended ~default:max_int < started ->
+    skip prefix started rest
+  | eps -> eps
+
+(* The cursor's suffix headed by the first episode on [prefix] that
+   overlaps [started, hi] (open intervals extend to the end of time), or
+   [] if none does.  That episode has the minimum start of all the
+   overlapping ones, since the list is sorted by start. *)
+let rec first_overlap prefix started hi = function
+  | (v : Report.episode_view) :: rest as eps
+    when Prefix.equal v.Report.v_prefix prefix && v.Report.v_started <= hi ->
+    if Option.value v.Report.v_ended ~default:max_int >= started then eps
+    else first_overlap prefix started hi rest
+  | _ -> []
 
 let correlate ~vantages ~merged =
   let vantages =
     List.sort (fun (a, _) (b, _) -> String.compare a b) vantages
   in
-  let views =
-    List.map (fun (name, snap) -> (name, Report.episodes snap)) vantages
+  let names = Array.of_list (List.map fst vantages) in
+  let cursors =
+    Array.of_list (List.map (fun (_, snap) -> Report.episodes snap) vantages)
   in
-  let entries =
-    List.map
-      (fun (m : Report.episode_view) ->
-        let sightings =
-          List.filter_map
-            (fun (name, eps) ->
-              let matching =
-                List.filter
-                  (fun (v : Report.episode_view) ->
-                    Prefix.compare v.Report.v_prefix m.Report.v_prefix = 0
-                    && overlaps ~started:m.Report.v_started
-                         ~ended:m.Report.v_ended v)
-                  eps
-              in
-              match matching with
-              | [] -> None
-              | _ ->
-                let first =
-                  List.fold_left
-                    (fun acc (v : Report.episode_view) ->
-                      min acc v.Report.v_started)
-                    max_int matching
-                in
-                Some (name, first))
-            views
-        in
-        let detects = List.map snd sightings in
-        {
-          x_prefix = m.Report.v_prefix;
-          x_seq = m.Report.v_seq;
-          x_started = m.Report.v_started;
-          x_ended = m.Report.v_ended;
-          x_days = m.Report.v_days;
-          x_max_origins = m.Report.v_max_origins;
-          x_origins = m.Report.v_origins;
-          x_clean = m.Report.v_clean;
-          x_seen_by = List.map fst sightings;
-          x_first_detect =
-            (match detects with
-            | [] -> None
-            | _ -> Some (List.fold_left min max_int detects));
-          x_last_detect =
-            (match detects with
-            | [] -> None
-            | _ -> Some (List.fold_left max min_int detects));
-        })
-      (Report.episodes merged)
+  let entry (m : Report.episode_view) =
+    let prefix = m.Report.v_prefix and started = m.Report.v_started in
+    let hi = Option.value m.Report.v_ended ~default:max_int in
+    let seen_by = ref [] and first = ref max_int and last = ref min_int in
+    (* right to left, so [seen_by] comes out in name order *)
+    for i = Array.length names - 1 downto 0 do
+      let eps = skip prefix started cursors.(i) in
+      cursors.(i) <- eps;
+      match first_overlap prefix started hi eps with
+      | [] -> ()
+      | v :: _ ->
+        seen_by := names.(i) :: !seen_by;
+        first := Int.min !first v.Report.v_started;
+        last := Int.max !last v.Report.v_started
+    done;
+    let seen_by = !seen_by in
+    {
+      x_prefix = prefix;
+      x_seq = m.Report.v_seq;
+      x_started = started;
+      x_ended = m.Report.v_ended;
+      x_days = m.Report.v_days;
+      x_max_origins = m.Report.v_max_origins;
+      x_origins = m.Report.v_origins;
+      x_clean = m.Report.v_clean;
+      x_seen_by = seen_by;
+      x_first_detect = (if seen_by = [] then None else Some !first);
+      x_last_detect = (if seen_by = [] then None else Some !last);
+    }
   in
-  { c_vantages = List.map fst vantages; c_entries = entries }
+  {
+    c_vantages = Array.to_list names;
+    c_entries = List.map entry (Report.episodes merged);
+  }
 
 let of_result (r : Mesh.result) =
   correlate ~vantages:r.Mesh.r_per_vantage ~merged:r.Mesh.r_merged

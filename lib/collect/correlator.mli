@@ -42,7 +42,18 @@ val correlate :
   t
 (** Correlate per-vantage snapshots against the merged view.  A vantage
     "saw" a merged episode when one of its own episodes on the same prefix
-    overlaps the merged episode's [start, end] interval. *)
+    overlaps the merged episode's closed [start, end] interval (an open
+    episode extends to the end of time); its detection time is the
+    earliest start among those episodes.
+
+    The correlation is one merge-join over the {!Stream.Report.episodes}
+    lists, which it relies on being sorted by (prefix, start, seq): each
+    vantage keeps a cursor that only moves forward.  With [M] merged
+    episodes, [N] vantages and [|V_i|] episodes at vantage [i], it costs
+    O(N * M + sum |V_i|) prefix comparisons on top of the sorts in
+    [Report.episodes] — O(M + sum |V_i|) for a fixed mesh.  The bound
+    uses the fact that one monitor's episodes on a prefix never overlap
+    each other in time; the result does not. *)
 
 val of_result : Mesh.result -> t
 (** {!correlate} over a mesh run. *)

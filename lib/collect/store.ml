@@ -15,8 +15,8 @@ let empty ~vantages =
   { roster = List.sort_uniq String.compare vantages; trie = Prefix_trie.empty; count = 0 }
 
 let compare_entry (a : Correlator.entry) (b : Correlator.entry) =
-  let c = compare a.Correlator.x_started b.Correlator.x_started in
-  if c <> 0 then c else compare a.Correlator.x_seq b.Correlator.x_seq
+  let c = Int.compare a.Correlator.x_started b.Correlator.x_started in
+  if c <> 0 then c else Int.compare a.Correlator.x_seq b.Correlator.x_seq
 
 let same_key (a : Correlator.entry) (b : Correlator.entry) =
   a.Correlator.x_started = b.Correlator.x_started

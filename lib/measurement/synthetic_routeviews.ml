@@ -60,6 +60,17 @@ type episode = { index : int; start_off : int; duration : int; extra : Asn.Set.t
 
 let window = Day.measurement_days
 
+(* Deterministic prefix universe: distinct /16s and /24s spread over the
+   unicast space.  Index [i] maps to network [1 + i / 200].[i mod 200].0.0,
+   so up to [max_universe] indices the prefixes are distinct and strictly
+   increasing by [Prefix.compare] — the [day_dump] table invariant. *)
+let max_universe = 200 * 200
+
+let universe_prefix i =
+  Prefix.make
+    (Ipv4.of_octets (1 + (i / 200)) (i mod 200) 0 0)
+    (if i mod 3 = 0 then 16 else 24)
+
 let validate p =
   let moas_total =
     p.initial_long_lived
@@ -70,15 +81,10 @@ let validate p =
     invalid_arg "Synthetic_routeviews: long-lived pool cannot shrink";
   if p.universe_size < moas_total then
     invalid_arg "Synthetic_routeviews: universe too small for the episodes";
+  if p.universe_size > max_universe then
+    invalid_arg "Synthetic_routeviews: universe too large for distinct prefixes";
   if p.missing_day_count < 0 || p.missing_day_count > window / 2 then
     invalid_arg "Synthetic_routeviews: unreasonable missing-day count"
-
-(* Deterministic prefix universe: distinct /16s and /17s spread over the
-   unicast space, which keeps prefixes comparable and collision-free. *)
-let universe_prefix i =
-  let block = i / 200 and slot = i mod 200 in
-  Prefix.make (Ipv4.of_octets (1 + (block mod 200)) slot 0 0) 24
-  |> fun p -> Prefix.make (Prefix.network p) (if i mod 3 = 0 then 16 else 24)
 
 let fresh_asn rng used =
   let rec draw () =

@@ -20,7 +20,8 @@ open Net
 
 type params = {
   seed : int64;
-  universe_size : int;  (** prefixes in the table; some never become MOAS *)
+  universe_size : int;
+      (** prefixes in the table, at most 40,000; some never become MOAS *)
   initial_long_lived : int;  (** standing MOAS prefixes on day one *)
   final_long_lived : int;  (** standing MOAS prefixes on the last day *)
   one_day_churn : int;  (** spontaneous single-day conflicts (non-event) *)
@@ -41,7 +42,11 @@ val smoke_params : params
 type day_dump = {
   day : Mutil.Day.t;
   table : (Prefix.t * Asn.Set.t) list;
-      (** origin set per prefix, as extracted from one daily table dump *)
+      (** origin set per prefix, as extracted from one daily table dump.
+          Invariant: one row per prefix, strictly increasing by
+          {!Net.Prefix.compare}.  The archive replay in [Stream.Source]
+          diffs consecutive tables with one merge that relies on this
+          order, and raises [Invalid_argument] on a table that breaks it. *)
 }
 
 val observed_days : params -> bool array

@@ -50,8 +50,8 @@ let episodes snap =
       let c = Net.Prefix.compare a.v_prefix b.v_prefix in
       if c <> 0 then c
       else
-        let c = compare a.v_started b.v_started in
-        if c <> 0 then c else compare a.v_seq b.v_seq)
+        let c = Int.compare a.v_started b.v_started in
+        if c <> 0 then c else Int.compare a.v_seq b.v_seq)
     (closed @ opened)
 
 (* the short/medium/long classes live on Monitor.bucket so the query

@@ -19,61 +19,68 @@ let trusted_annotator ?(distrusted = Asn.Set.empty) () : annotator =
    current origin re-announces with a freshly computed MOAS list — the
    wire behaviour of origins updating the list as membership changes, and
    the order that keeps a legitimately shrinking conflict from being
-   flagged over a stale list. *)
+   flagged over a stale list.
+
+   Both tables are strictly increasing by [Prefix.compare] (the
+   [Synthetic_routeviews.day_dump] invariant), so the diff is one merge:
+   today's changes come out in table order and the prefixes that vanished
+   since yesterday are withdrawn after them, in prefix order.  Events are
+   accumulated in reverse. *)
 let day_events ~annotate ~prev dump =
-  let events = ref [] in
-  let emit ev = events := ev :: !events in
   let time = dump.Srv.day * day_seconds in
-  let today =
-    List.fold_left
-      (fun m (p, o) -> Prefix.Map.add p o m)
-      Prefix.Map.empty dump.Srv.table
+  let withdraw prefix origins acc =
+    Asn.Set.fold
+      (fun origin acc ->
+        { Monitor.time; peer = origin; prefix; action = Monitor.Withdraw { origin } }
+        :: acc)
+      origins acc
   in
-  List.iter
-    (fun (prefix, origins) ->
-      let prev_origins =
-        Option.value ~default:Asn.Set.empty (Prefix.Map.find_opt prefix prev)
-      in
-      if not (Asn.Set.equal origins prev_origins) then begin
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action = Monitor.Withdraw { origin };
-              })
-          (Asn.Set.diff prev_origins origins);
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action =
-                  Monitor.Announce
-                    { origin; moas_list = annotate prefix origins origin };
-              })
-          origins
-      end)
-    dump.Srv.table;
-  Prefix.Map.iter
-    (fun prefix prev_origins ->
-      if not (Prefix.Map.mem prefix today) then
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action = Monitor.Withdraw { origin };
-              })
-          prev_origins)
-    prev;
-  (Array.of_list (List.rev !events), today)
+  let change prefix ~was origins acc =
+    if Asn.Set.equal origins was then acc
+    else
+      Asn.Set.fold
+        (fun origin acc ->
+          {
+            Monitor.time;
+            peer = origin;
+            prefix;
+            action =
+              Monitor.Announce
+                { origin; moas_list = annotate prefix origins origin };
+          }
+          :: acc)
+        origins
+        (withdraw prefix (Asn.Set.diff was origins) acc)
+  in
+  (* step past today's row [p]: the next row must sort strictly after it *)
+  let advance p = function
+    | (p', _) :: _ when Prefix.compare p p' >= 0 ->
+      invalid_arg
+        ("Source.day_events: table not strictly increasing at "
+        ^ Prefix.to_string p')
+    | rest -> rest
+  in
+  let rec merge changes vanished today prev =
+    match (today, prev) with
+    | [], _ ->
+      List.rev_append changes
+        (List.rev
+           (List.fold_left (fun acc (q, was) -> withdraw q was acc) vanished prev))
+    | (p, origins) :: rest, (q, was) :: prev' ->
+      let c = Prefix.compare q p in
+      if c < 0 then merge changes (withdraw q was vanished) today prev'
+      else if c = 0 then
+        merge (change p ~was origins changes) vanished (advance p rest) prev'
+      else
+        merge
+          (change p ~was:Asn.Set.empty origins changes)
+          vanished (advance p rest) prev
+    | (p, origins) :: rest, [] ->
+      merge
+        (change p ~was:Asn.Set.empty origins changes)
+        vanished (advance p rest) []
+  in
+  Array.of_list (merge [] [] dump.Srv.table prev)
 
 (* ------------------------------------------------------------------ *)
 (* The uniform pull interface: every source — synthetic archive, MRT
@@ -116,15 +123,15 @@ let of_seq seq =
 let of_batches batches = of_seq (Array.to_seq batches)
 
 let of_archive ?(annotate = no_annotation) params =
-  let prev = ref Prefix.Map.empty in
+  let prev = ref [] in
   let dumps = ref (Srv.dump_seq params) in
   make (fun () ->
       match !dumps () with
       | Seq.Nil -> None
       | Seq.Cons (dump, rest) ->
         dumps := rest;
-        let events, today = day_events ~annotate ~prev:!prev dump in
-        prev := today;
+        let events = day_events ~annotate ~prev:!prev dump in
+        prev := dump.Srv.table;
         Some
           { time = dump.Srv.day * day_seconds; day = Some dump.Srv.day; events })
 

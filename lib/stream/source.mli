@@ -56,7 +56,12 @@ val fold : t -> init:'a -> f:('a -> batch -> 'a) -> 'a
 val of_archive :
   ?annotate:annotator -> Measurement.Synthetic_routeviews.params -> t
 (** The synthetic RouteViews archive as a pull source: one batch per
-    observed day, generated on demand (one day's table in memory). *)
+    observed day, generated on demand (two days' tables in memory).  Each
+    day is diffed against the day before in one merge of the two sorted
+    tables, which takes time linear in the table size; {!next} raises
+    [Invalid_argument] on a table that is not strictly increasing by
+    {!Net.Prefix.compare} (the {!Measurement.Synthetic_routeviews.day_dump}
+    invariant). *)
 
 val of_batches : batch array -> t
 (** A pre-materialised batch sequence. *)
@@ -86,7 +91,7 @@ val fold_archive :
   f:('a -> batch -> 'a) ->
   'a
 (** Fold over the archive's observed days as event batches, in
-    chronological order, holding only one day's table in memory. *)
+    chronological order, holding only two days' tables in memory. *)
 
 val archive_batches :
   ?annotate:annotator ->

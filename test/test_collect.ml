@@ -149,13 +149,10 @@ let script_events script =
   Array.of_list
     (List.mapi (fun i (pi, o, k) -> ev ~time:(i * 10) script_prefixes.(pi) (act o k)) script)
 
-let script_batches script =
-  let events = script_events script in
+(* one batch holding every event, split over the vantages *)
+let replay_streams ?(coverage = 0.6) ?(vantages = 3) events =
   let time = if Array.length events = 0 then 0 else events.(Array.length events - 1).M.time in
-  [| { Src.time; day = None; events } |]
-
-let replay_streams ?(coverage = 0.6) ?(vantages = 3) script =
-  V.replay ~coverage ~vantages ~seed:0xC0FFEEL (script_batches script)
+  V.replay ~coverage ~vantages ~seed:0xC0FFEEL [| { Src.time; day = None; events } |]
 
 let prop_merged_equals_global =
   Testutil.qtest ~count:100
@@ -163,7 +160,7 @@ let prop_merged_equals_global =
     (fun script ->
       (* every event is forced to at least one vantage, so the deduped
          union is exactly the input stream *)
-      let mesh = Mesh.run config (replay_streams script) in
+      let mesh = Mesh.run config (replay_streams (script_events script)) in
       let solo = Mesh.run config [ ("all", script_events script) ] in
       encode_snapshot mesh.Mesh.r_merged = encode_snapshot solo.Mesh.r_merged)
 
@@ -171,7 +168,7 @@ let prop_full_coverage_vantages_agree =
   Testutil.qtest ~count:100
     "full coverage: every vantage equals the merged view" script_gen
     (fun script ->
-      let r = Mesh.run config (replay_streams ~coverage:1.0 script) in
+      let r = Mesh.run config (replay_streams ~coverage:1.0 (script_events script)) in
       let merged = encode_snapshot r.Mesh.r_merged in
       List.for_all
         (fun (_, snap) -> encode_snapshot snap = merged)
@@ -180,7 +177,7 @@ let prop_full_coverage_vantages_agree =
 let prop_jobs_and_order_invariance =
   Testutil.qtest ~count:60 "jobs count and vantage order are invisible"
     script_gen (fun script ->
-      let streams = replay_streams script in
+      let streams = replay_streams (script_events script) in
       let a = Mesh.run ~jobs:1 config streams in
       let b = Mesh.run ~jobs:8 config (List.rev streams) in
       encode_snapshot a.Mesh.r_merged = encode_snapshot b.Mesh.r_merged
@@ -251,6 +248,93 @@ let prop_heap_merge_matches_reference =
              String.equal t.Mesh.tag tag
              && Mesh.compare_event t.Mesh.event event = 0)
            (Array.to_list merged) ref_merged)
+
+(* ---------------- correlator vs the nested-scan oracle ---------------- *)
+
+let store_bytes corr = Store.encode (Store.of_correlation corr)
+
+(* the merge-join correlator and the oracle agree on the report and on
+   the store bytes *)
+let correlations_agree (r : Mesh.result) =
+  let fast = Corr.of_result r in
+  let slow =
+    Oracles.correlate ~vantages:r.Mesh.r_per_vantage ~merged:r.Mesh.r_merged
+  in
+  String.equal (Corr.render fast) (Corr.render slow)
+  && Bytes.equal (store_bytes fast) (store_bytes slow)
+
+(* Scripts whose events may share a timestamp (a zero [dt]), so an
+   episode can close and the next one open at the same instant —
+   intervals that touch at their endpoints, within one vantage and
+   across vantages — and whose tails leave episodes open. *)
+let timed_events script =
+  let _, events =
+    List.fold_left
+      (fun (time, acc) (pi, o, k, dt) ->
+        let time = time + (dt * 10) in
+        (time, ev ~time script_prefixes.(pi) (act o k) :: acc))
+      (0, []) script
+  in
+  Array.of_list (List.rev events)
+
+let correlate_gen =
+  QCheck2.Gen.(
+    triple
+      (list_size (int_range 0 150)
+         (quad (int_range 0 3) (int_range 1 6) (int_range 0 3) (int_range 0 1)))
+      (int_range 1 8) (int_range 0 10))
+
+let prop_correlate_matches_scan =
+  Testutil.qtest ~count:200 "merge-join correlator equals the nested scan"
+    correlate_gen (fun (script, vantages, tenths) ->
+      let streams =
+        replay_streams
+          ~coverage:(float_of_int tenths /. 10.)
+          ~vantages (timed_events script)
+      in
+      correlations_agree (Mesh.run config streams))
+
+(* vantage a sees [0..10]; vantage b sees a conflict open at 10, the
+   instant a's closes; the merged view closes #1 at 10 and reopens #2 *)
+let test_touching_endpoints () =
+  let a = [| ev ~time:0 p1 (ann 10); ev ~time:0 p1 (ann 20); ev ~time:10 p1 (wd 20) |] in
+  let b = [| ev ~time:0 p1 (ann 10); ev ~time:10 p1 (ann 30) |] in
+  let r = Mesh.run config [ ("b", b); ("a", a) ] in
+  let corr = Corr.of_result r in
+  let summary =
+    List.map
+      (fun e ->
+        ( e.Corr.x_seq,
+          e.Corr.x_ended,
+          e.Corr.x_seen_by,
+          e.Corr.x_first_detect,
+          e.Corr.x_last_detect ))
+      corr.Corr.c_entries
+  in
+  Alcotest.(check bool) "touching intervals overlap" true
+    (summary
+    = [
+        (1, Some 10, [ "a"; "b" ], Some 0, Some 10);
+        (2, None, [ "a"; "b" ], Some 0, Some 10);
+      ]);
+  Alcotest.(check bool) "oracle agrees" true (correlations_agree r)
+
+let test_smoke_archive_matches_scan () =
+  let batches =
+    Src.archive_batches
+      ~annotate:
+        (Src.trusted_annotator
+           ~distrusted:Measurement.Synthetic_routeviews.fault_ases ())
+      Measurement.Synthetic_routeviews.smoke_params
+  in
+  List.iter
+    (fun (vantages, coverage) ->
+      let streams = V.replay ~coverage ~vantages ~seed:0xC011EC7L batches in
+      let r = Mesh.run config streams in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d vantages at coverage %.2f" vantages coverage)
+        true (correlations_agree r))
+    [ (1, 1.0); (4, 0.65); (8, 0.3) ]
 
 (* ---------------- store ---------------- *)
 
@@ -491,6 +575,14 @@ let () =
           prop_full_coverage_vantages_agree;
           prop_jobs_and_order_invariance;
           prop_heap_merge_matches_reference;
+          prop_correlate_matches_scan;
+        ] );
+      ( "correlator",
+        [
+          Alcotest.test_case "touching endpoints overlap" `Quick
+            test_touching_endpoints;
+          Alcotest.test_case "smoke archive equals the nested scan" `Quick
+            test_smoke_archive_matches_scan;
         ] );
       ( "store",
         [

@@ -35,6 +35,36 @@ let test_params_validated () =
       ignore
         (Srv.observed_days { small_params with Srv.final_long_lived = 10 }))
 
+let rec strictly_increasing = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+    Prefix.compare a b < 0 && strictly_increasing rest
+  | _ -> true
+
+let tables_increasing params =
+  Srv.fold_dumps params ~init:true ~f:(fun ok dump ->
+      ok && strictly_increasing dump.Srv.table)
+
+(* the day_dump invariant the archive replay's merge diff relies on *)
+let test_tables_strictly_increasing () =
+  Alcotest.(check bool) "default archive" true (tables_increasing Srv.default_params);
+  Alcotest.(check bool) "smoke archive" true (tables_increasing Srv.smoke_params);
+  let largest = { Srv.smoke_params with Srv.universe_size = 40_000 } in
+  (match Srv.dump_seq largest () with
+  | Seq.Cons (dump, _) ->
+    Alcotest.(check bool) "largest universe, first day" true
+      (strictly_increasing dump.Srv.table)
+  | Seq.Nil -> Alcotest.fail "no dump");
+  Alcotest.check_raises "universe beyond the distinct prefixes"
+    (Invalid_argument
+       "Synthetic_routeviews: universe too large for distinct prefixes")
+    (fun () ->
+      ignore (Srv.observed_days { largest with Srv.universe_size = 40_001 }))
+
+let prop_tables_strictly_increasing =
+  Testutil.qtest ~count:8 "tables strictly increasing at random seeds"
+    QCheck2.Gen.int (fun seed ->
+      tables_increasing { Srv.smoke_params with Srv.seed = Int64.of_int seed })
+
 let test_observed_day_count () =
   let observed = Srv.observed_days small_params in
   Alcotest.(check int) "window length" Day.measurement_days (Array.length observed);
@@ -205,6 +235,9 @@ let () =
           Alcotest.test_case "event days observed" `Quick test_event_days_observed;
           Alcotest.test_case "stream shape" `Quick test_dump_stream_shape;
           Alcotest.test_case "deterministic" `Quick test_dumps_deterministic;
+          Alcotest.test_case "tables strictly increasing" `Quick
+            test_tables_strictly_increasing;
+          prop_tables_strictly_increasing;
         ] );
       ( "moas_cases",
         [

@@ -222,6 +222,32 @@ let test_pool_branch_invariance () =
   Alcotest.(check bool) "checkpoint bytes identical at jobs 1 and 4" true
     (Bytes.equal c1 c4)
 
+(* the merge diff replays exactly the batches of the Prefix.Map diff *)
+let test_archive_matches_map_diff () =
+  List.iter
+    (fun k ->
+      let params =
+        { Srv.smoke_params with Srv.seed = Int64.add Srv.smoke_params.Srv.seed k }
+      in
+      let fast = Src.archive_batches ~annotate params in
+      let slow = Oracles.archive_batches ~annotate params in
+      Alcotest.(check int)
+        (Printf.sprintf "seed +%Ld: batch count" k)
+        (Array.length slow) (Array.length fast);
+      Array.iter2
+        (fun (a : Src.batch) (b : Src.batch) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed +%Ld: batch at %d" k b.Src.time)
+            true
+            (a.Src.time = b.Src.time
+            && Option.equal Int.equal a.Src.day b.Src.day
+            && Array.length a.Src.events = Array.length b.Src.events
+            && Array.for_all2
+                 (fun x y -> Collect.Mesh.compare_event x y = 0)
+                 a.Src.events b.Src.events))
+        fast slow)
+    [ 0L; 1L; 2L ]
+
 let test_alerts_spike_on_fault_days () =
   let sn = Sh.snapshot (archive_monitor ~jobs:2 ()) in
   let alert_days =
@@ -674,6 +700,8 @@ let () =
           Alcotest.test_case "agrees with Moas_cases" `Quick
             test_archive_agrees_with_moas_cases;
           Alcotest.test_case "metrics flow" `Quick test_metrics_flow;
+          Alcotest.test_case "merge diff equals the map diff" `Quick
+            test_archive_matches_map_diff;
         ] );
       ( "checkpoint",
         [
