@@ -228,7 +228,7 @@ let run_collect_query store_path query_str =
     | None -> failwith "--query needs --store FILE"
   in
   let q =
-    match Collect.Store.parse_query query_str with
+    match Collect.Query.parse query_str with
     | Ok q -> q
     | Error msg -> failwith ("bad query: " ^ msg)
   in
@@ -237,10 +237,11 @@ let run_collect_query store_path query_str =
     (Collect.Store.count store);
   print_string
     (Collect.Store.render
-       (List.fold_left
-          (fun t e -> Collect.Store.add e t)
-          (Collect.Store.empty ~vantages:(Collect.Store.vantages store))
-          hits))
+       (Collect.Store.of_correlation
+          {
+            Collect.Correlator.c_vantages = Collect.Store.vantages store;
+            c_entries = hits;
+          }))
 
 let run_collect vantages jobs smoke seed store_path query metrics_out order =
   match query with

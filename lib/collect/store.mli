@@ -1,14 +1,38 @@
 (** Persistent, queryable store of correlated MOAS episodes.
 
-    The store indexes {!Correlator.entry} records in a {!Net.Prefix_trie},
-    so prefix queries (exact or covered/more-specific, the sub-prefix
-    hijack shape of paper §4.3) are trie walks rather than scans, and
-    keeps the vantage roster so visibility renders as [k/N].
+    {b Layout.}  A store is one flat, immutable value built once:
+    - the entries in an array, in canonical order (trie (network,
+      length) order, then (start time, sequence) within a prefix); an
+      entry's position is its id;
+    - each entry's {!Correlator.write_entry} image, back to back in one
+      [bytes] with an offsets array;
+    - a {!Net.Prefix_trie} from each prefix to its contiguous id range;
+    - an origin index from each AS to the ascending ids of the entries
+      whose origin set holds it, as flat arrays (sorted AS numbers,
+      bounds, ids);
+    - the vantage roster, so visibility renders as [k/N].
+
+    {b Query cost.}  A query first picks candidate ids,
+    then tests each with {!Query.matches} in ascending id order:
+    - prefix clause: the prefix's id range, found in O(32) trie steps;
+      with [covered], the range spanning the target and its
+      more-specifics (one contiguous block in canonical order), found by
+      a walk over the covered prefixes;
+    - origin clause: that AS's ids, found by binary search, if fewer
+      than the prefix range;
+    - no prefix or origin clause: every id;
+    - [since], [until], [min_visibility] and [bucket] only filter the
+      candidates.
+    {!count_matches} is O(1) past the candidate lookup when no clause is
+    left to test, and otherwise folds over the candidates without
+    building a list; {!query_images} copies the matching images without
+    re-encoding them.
 
     On disk it uses the same defensive binary idiom as
     {!Stream.Checkpoint}: magic ["MOASSTOR"], a version octet, big-endian
     fixed-width fields, and a decoder that rejects truncation, trailing
-    octets, bad tags and version mismatches with {!Corrupt}. *)
+    octets, bad tags, version mismatches and entries out of canonical
+    order with {!Corrupt}. *)
 
 type t
 (** An immutable episode store. *)
@@ -19,19 +43,15 @@ exception Corrupt of string
 val empty : vantages:string list -> t
 (** An empty store over a vantage roster (names are sorted and deduped). *)
 
-val add : Correlator.entry -> t -> t
-(** Index one correlated episode.  An entry equal to one already stored
-    (same prefix, sequence and start) replaces it. *)
-
 val of_correlation : Correlator.t -> t
-(** Index every entry of a correlation result. *)
+(** Index every entry of a correlation result, in any order.  Of entries
+    with the same prefix, sequence and start, the last one is kept. *)
 
 val vantages : t -> string list
 val count : t -> int
 
 val entries : t -> Correlator.entry list
-(** All entries in canonical order: trie (network, length) order, then
-    (start time, sequence) within a prefix. *)
+(** All entries in canonical order. *)
 
 (** {2 Queries} *)
 
@@ -40,25 +60,31 @@ type query = Query.t
     [--query] flag parses and the [Serve.Proto] wire protocol carries.
     Build one with the {!Query} combinators. *)
 
-val query_all : query
-(** {!Query.empty}, kept for callers of the pre-[Query] API. *)
-
 val query : t -> query -> Correlator.entry list
-(** Matching entries, in canonical order.  The prefix clause is a trie
-    lookup ({!Query.wants_covered} uses {!Prefix_trie.covered}); the
-    other clauses filter via {!Query.matches}.  Open episodes extend to
-    the end of time for the range test. *)
+(** Matching entries, in canonical order.  Open episodes extend to the
+    end of time for the range test. *)
 
-val parse_query : string -> (query, string) result
-(** Thin wrapper over {!Query.parse}, kept for callers of the
-    pre-[Query] stringly API. *)
+val count_matches : t -> query -> int
+(** [List.length (query t q)], without building the list. *)
+
+val query_images : t -> query -> int * int * (bytes -> int -> unit)
+(** [query_images t q] is [(n, len, blit)] for the entries {!query}
+    returns: their number, the total length of their
+    {!Correlator.write_entry} images, and [blit dst pos], which copies
+    those images back to back, in canonical order, into [dst] at [pos].
+    [Serve] builds an [Entries] frame from it without re-encoding an
+    entry. *)
 
 (** {2 Persistence} *)
 
 val encode : t -> bytes
+(** The roster and entry count, then the stored images in one blit. *)
+
 val decode : bytes -> t
-(** @raise Corrupt on bad magic, version mismatch, truncation, trailing
-    octets or invalid field values. *)
+(** The entry images are sliced from the input, not re-encoded.
+    @raise Corrupt on bad magic, version mismatch, truncation, trailing
+    octets, invalid field values, or entries that are out of canonical
+    order or repeat a (prefix, sequence, start) key. *)
 
 val write_file : string -> t -> unit
 val read_file : string -> t

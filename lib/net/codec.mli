@@ -51,7 +51,8 @@ val crc32 : ?seed:int -> bytes -> pos:int -> len:int -> int
     regions.  Any burst error up to 32 bits — in particular any
     single-octet corruption — is guaranteed to change the result, so a
     checksummed frame can never be silently mutated into a different
-    valid frame. *)
+    valid frame.  Folds four octets per step (slice-by-4).
+    @raise Invalid_argument when the region exceeds the byte string. *)
 
 (** {2 Readers} *)
 
@@ -91,7 +92,13 @@ val check_crc : cursor -> seed:int -> expect:int -> unit
 val take_u8 : cursor -> int
 val take_u16 : cursor -> int
 val take_u32 : cursor -> int
+
 val take_i63 : cursor -> int
+(** The low 63 bits of eight octets.  A short read by [take_u8],
+    [take_u16], [take_u32] or [take_i63] fails with
+    ["truncated at octet N"], [N] being the first octet past the
+    cursor's limit. *)
+
 val take_bool : cursor -> bool
 val take_asn : cursor -> Asn.t
 val take_asn_set : cursor -> Asn.Set.t

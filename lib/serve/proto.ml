@@ -74,22 +74,26 @@ let kind_crc kind = (Lazy.force kind_crcs).(kind)
 
 let header_len = 18 (* magic 8 · version 1 · kind 1 · u32 length · u32 CRC *)
 
-let frame kind put_payload =
-  let payload = Buffer.create 64 in
-  put_payload payload;
-  let plen = Buffer.length payload in
-  (* single-copy assembly: the frame bytes are allocated once, the
-     payload blitted straight out of the buffer, and length and CRC
-     patched into the header — no [Buffer.to_bytes] intermediate *)
+(* single-copy assembly: the frame bytes are allocated once, [fill]
+   writes the [plen]-octet payload in place at [header_len], and length
+   and CRC are patched into the header — no [Buffer.to_bytes]
+   intermediate *)
+let frame_of kind plen fill =
   let out = Bytes.create (header_len + plen) in
   Bytes.blit_string magic 0 out 0 8;
   set_u8 out 8 version;
   set_u8 out 9 kind;
   set_u32 out 10 plen;
-  Buffer.blit payload 0 out header_len plen;
+  fill out header_len;
   let crc = Codec.crc32 ~seed:(kind_crc kind) out ~pos:header_len ~len:plen in
   set_u32 out 14 crc;
   out
+
+let frame kind put_payload =
+  let payload = Buffer.create 64 in
+  put_payload payload;
+  let plen = Buffer.length payload in
+  frame_of kind plen (fun out pos -> Buffer.blit payload 0 out pos plen)
 
 let open_frame data =
   let c = cursor ~fail:(fun m -> Corrupt m) data in
@@ -232,6 +236,14 @@ let encode_response = function
         put_alert b alert)
   | Stats_are s -> frame tag_stats_are (fun b -> put_stats b s)
   | Rejected reason -> frame tag_rejected (fun b -> put_string b reason)
+
+(* the payload encode_response writes for [Entries]: u32 vantage count,
+   u32 entry count, then the entry images *)
+let entries_frame ~vantage_count ~count ~len ~blit =
+  frame_of tag_entries (8 + len) (fun out pos ->
+      set_u32 out pos vantage_count;
+      set_u32 out (pos + 4) count;
+      blit out (pos + 8))
 
 let decode_response data =
   let c, kind = open_frame data in

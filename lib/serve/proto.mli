@@ -83,6 +83,16 @@ val decode_request : bytes -> request
 (** @raise Corrupt on malformed input. *)
 
 val encode_response : response -> bytes
+
+val entries_frame :
+  vantage_count:int -> count:int -> len:int -> blit:(bytes -> int -> unit) -> bytes
+(** The [Entries] frame for [count] entries whose
+    {!Collect.Correlator.write_entry} images, [len] octets in all,
+    [blit dst pos] copies into [dst] at [pos] — byte-identical to
+    [encode_response (Entries { vantage_count; entries })], built
+    without decoding or re-encoding an entry (see
+    {!Collect.Store.query_images}). *)
+
 val decode_response : bytes -> response
 (** @raise Corrupt on malformed input. *)
 

@@ -9,8 +9,15 @@
      [Prefix.Map] of the whole table every day and looks every row up in
      it, so it has no reliance on the table order either.
 
-   [Collect.Correlator.correlate] and [Stream.Source.archive_batches] must
-   reproduce them exactly. *)
+   - [Store]: the episode store as a trie of per-prefix entry lists,
+     built by one sorted insert per entry and queried by filtering the
+     whole entry list, so every query costs O(store), whatever clauses
+     it has.
+   - [crc32] and the [take_*] readers: the CRC one octet per step, and
+     the multi-octet readers as chains of [Codec.take_u8].
+
+   [Collect.Correlator.correlate], [Stream.Source.archive_batches],
+   [Collect.Store] and [Net.Codec] must reproduce them exactly. *)
 
 open Net
 module Report = Stream.Report
@@ -151,3 +158,80 @@ let archive_batches ?(annotate = Src.no_annotation) params =
           :: acc ))
   in
   Array.of_list (List.rev batches)
+
+module Store = struct
+  type t = {
+    roster : string list;
+    trie : Corr.entry list Prefix_trie.t; (* per-prefix, (started, seq) order *)
+  }
+
+  let compare_entry (a : Corr.entry) (b : Corr.entry) =
+    let c = Int.compare a.Corr.x_started b.Corr.x_started in
+    if c <> 0 then c else Int.compare a.Corr.x_seq b.Corr.x_seq
+
+  (* an entry with an existing (prefix, started, seq) key replaces it *)
+  let add (e : Corr.entry) t =
+    let trie =
+      Prefix_trie.update e.Corr.x_prefix
+        (fun prev ->
+          let kept =
+            List.filter
+              (fun old -> compare_entry old e <> 0)
+              (Option.value prev ~default:[])
+          in
+          Some (List.sort compare_entry (e :: kept)))
+        t.trie
+    in
+    { t with trie }
+
+  let of_correlation (c : Corr.t) =
+    List.fold_left
+      (fun t e -> add e t)
+      { roster = List.sort_uniq String.compare c.Corr.c_vantages; trie = Prefix_trie.empty }
+      c.Corr.c_entries
+
+  let entries t =
+    List.rev (Prefix_trie.fold (fun _ es acc -> List.rev_append es acc) t.trie [])
+
+  let query t q = List.filter (Collect.Query.matches q) (entries t)
+
+  (* the MOASSTOR layout of a roster and entries, in the given order *)
+  let encode_entries roster es =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf "MOASSTOR";
+    Codec.put_u8 buf 1;
+    Codec.put_list buf Codec.put_string roster;
+    Codec.put_list buf Corr.write_entry es;
+    Buffer.to_bytes buf
+
+  let encode t = encode_entries t.roster (entries t)
+end
+
+let crc32_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32 ?(seed = 0) data ~pos ~len =
+  let crc = ref (seed lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc :=
+      crc32_table.((!crc lxor Char.code (Bytes.get data i)) land 0xff)
+      lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let take_u16 c =
+  let hi = Codec.take_u8 c in
+  (hi lsl 8) lor Codec.take_u8 c
+
+let take_u32 c =
+  let hi = take_u16 c in
+  (hi lsl 16) lor take_u16 c
+
+let take_i63 c =
+  let hi = take_u32 c in
+  (hi lsl 32) lor take_u32 c

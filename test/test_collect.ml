@@ -406,10 +406,51 @@ let test_store_rejects_corruption () =
   Bytes.set bad 8 '\x02';
   expect_corrupt "version mismatch" bad
 
+(* Store.decode accepts only canonical entry order: the same entries
+   written in another order, or with one repeated, are corrupt *)
+let test_store_rejects_noncanonical () =
+  let s = sample_store () in
+  let encode = Oracles.Store.encode_entries (Store.vantages s) in
+  let es = Store.entries s in
+  Alcotest.(check bool) "canonical order is the encoding" true
+    (Bytes.equal (encode es) (Store.encode s));
+  let expect_corrupt what es =
+    match Store.decode (encode es) with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Store.Corrupt _ -> ()
+  in
+  (match es with
+  | a :: b :: rest ->
+    expect_corrupt "two entries swapped" (b :: a :: rest);
+    expect_corrupt "an entry duplicated" (a :: a :: b :: rest)
+  | _ -> Alcotest.fail "sample store too small");
+  expect_corrupt "last entry duplicated" (es @ [ List.nth es (List.length es - 1) ])
+
+let prop_store_matches_scan =
+  Testutil.qtest ~count:300 ~print:Store_gen.print_case
+    "indexed store equals the list scan" Store_gen.store_and_queries_gen
+    (fun (c, qs) ->
+      let s = Store.of_correlation c and o = Oracles.Store.of_correlation c in
+      let bytes = Store.encode s in
+      let decoded = Store.decode bytes in
+      Bytes.equal bytes (Oracles.Store.encode o)
+      && Bytes.equal (Store.encode decoded) bytes
+      && List.for_all
+           (fun q ->
+             let hits = Oracles.Store.query o q in
+             List.for_all
+               (fun s ->
+                 String.equal
+                   (Store_gen.images (Store.query s q))
+                   (Store_gen.images hits)
+                 && Store.count_matches s q = List.length hits)
+               [ s; decoded ])
+           qs)
+
 let test_store_queries () =
   let s = sample_store () in
   let q qstr =
-    match Store.parse_query qstr with
+    match Collect.Query.parse qstr with
     | Ok q -> List.map (fun e -> Prefix.to_string e.Corr.x_prefix) (Store.query s q)
     | Error msg -> Alcotest.failf "query %S rejected: %s" qstr msg
   in
@@ -434,7 +475,7 @@ let test_store_queries () =
     (List.length (q "bucket=short"));
   Alcotest.(check (list string)) "bucket=long matches none" []
     (q "bucket=long");
-  match Store.parse_query "bucket=medium" with
+  match Collect.Query.parse "bucket=medium" with
   | Error m -> Alcotest.failf "bucket=medium rejected: %s" m
   | Ok qm ->
     Alcotest.(check string) "printer restores the bucket clause"
@@ -443,7 +484,7 @@ let test_store_queries () =
 
 let test_store_parse_errors () =
   let rejected s =
-    match Store.parse_query s with Ok _ -> false | Error _ -> true
+    match Collect.Query.parse s with Ok _ -> false | Error _ -> true
   in
   Alcotest.(check bool) "unknown key" true (rejected "frobnicate=1");
   Alcotest.(check bool) "missing value" true (rejected "prefix");
@@ -589,7 +630,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick
             test_store_rejects_corruption;
+          Alcotest.test_case "non-canonical order rejected" `Quick
+            test_store_rejects_noncanonical;
           Alcotest.test_case "queries" `Quick test_store_queries;
+          prop_store_matches_scan;
           Alcotest.test_case "query parse errors" `Quick test_store_parse_errors;
         ] );
       ( "scenario",

@@ -272,7 +272,7 @@ let prop_builder_parse_equivalence =
     "builder == parse (to_string q) == decode (encode q)" query_gen
     (fun spec ->
       let q = build_query spec in
-      (match Store.parse_query (Q.to_string q) with
+      (match Collect.Query.parse (Q.to_string q) with
       | Ok q' -> Q.equal q q'
       | Error _ -> false)
       && Q.equal q (Q.decode (Q.encode q)))
@@ -284,6 +284,65 @@ let prop_query_wire_roundtrip =
       match Proto.decode_request (Proto.encode_request (Proto.Query q)) with
       | Proto.Query q' -> Q.equal q q'
       | _ -> false)
+
+(* every Query and Count reply the server sends equals the frame
+   encode_response builds from the list-scan oracle's answer *)
+let prop_frames_match_scan =
+  Testutil.qtest ~count:200 ~print:Store_gen.print_case
+    "served frames equal encode_response of the list scan"
+    Store_gen.store_and_queries_gen (fun (c, qs) ->
+      let o = Oracles.Store.of_correlation c in
+      let server = Server.create ~store:(Store.of_correlation c) () in
+      let session = Server.open_session server in
+      let vantage_count = List.length Store_gen.roster in
+      List.for_all
+        (fun q ->
+          let hits = Oracles.Store.query o q in
+          let reply req = Server.handle server ~session (Proto.encode_request req) in
+          Bytes.equal
+            (reply (Proto.Query q))
+            (Proto.encode_response (Proto.Entries { vantage_count; entries = hits }))
+          && Bytes.equal
+               (reply (Proto.Count q))
+               (Proto.encode_response (Proto.Count_is (List.length hits))))
+        qs)
+
+(* ---------------- codec ---------------- *)
+
+let codec_gen =
+  QCheck2.Gen.(
+    triple
+      (string_size ~gen:char (int_range 0 40))
+      (pair (int_range 0 40) (int_range 0 40))
+      (int_range 0 0xFFFFFFFF))
+
+(* the word readers return what the octet chains return, and fail with
+   the same message where the input runs out *)
+let prop_word_readers_match_octets =
+  Testutil.qtest ~count:500 "word readers equal the octet readers" codec_gen
+    (fun (data, (pos, len), _) ->
+      let data = Bytes.of_string data in
+      let pos = min pos (Bytes.length data) in
+      let len = min len (Bytes.length data - pos) in
+      let run take =
+        let c =
+          Codec.cursor_slice ~fail:(fun m -> Failure m) data ~pos ~len
+        in
+        match take c with
+        | v -> Ok (v, Codec.pos c)
+        | exception Failure m -> Error m
+      in
+      run Codec.take_u16 = run Oracles.take_u16
+      && run Codec.take_u32 = run Oracles.take_u32
+      && run Codec.take_i63 = run Oracles.take_i63)
+
+let prop_crc32_matches_octets =
+  Testutil.qtest ~count:500 "slice-by-4 CRC equals the octet CRC" codec_gen
+    (fun (data, (pos, len), seed) ->
+      let data = Bytes.of_string data in
+      let pos = min pos (Bytes.length data) in
+      let len = min len (Bytes.length data - pos) in
+      Codec.crc32 ~seed data ~pos ~len = Oracles.crc32 ~seed data ~pos ~len)
 
 let test_builder_validation () =
   List.iter
@@ -719,7 +778,10 @@ let () =
           prop_query_wire_roundtrip;
           Alcotest.test_case "builder validation" `Quick
             test_builder_validation;
+          prop_frames_match_scan;
         ] );
+      ( "codec",
+        [ prop_word_readers_match_octets; prop_crc32_matches_octets ] );
       ( "tail",
         [
           Alcotest.test_case "subscription delivery ordering" `Quick

@@ -47,9 +47,9 @@ let prefix_gen =
 let asn_set_gen =
   QCheck2.Gen.map Asn.Set.of_list (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 6) asn_gen)
 
-let qtest ?(count = 200) name gen prop =
+let qtest ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* a tiny deterministic graph used by several suites:
 
