@@ -37,7 +37,14 @@ let map ?jobs f arr =
       in
       loop ()
     in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    (* a new domain starts with backtrace recording off; it follows the
+       caller's, so a task that raises off the caller keeps its frames *)
+    let recording = Printexc.backtrace_status () in
+    let helper () =
+      Printexc.record_backtrace recording;
+      worker ()
+    in
+    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn helper) in
     worker ();
     List.iter Domain.join domains;
     match Atomic.get failure with

@@ -27,8 +27,12 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     [Array.map f a].
 
     If any task raises, the first exception observed is re-raised in the
-    caller after every domain has joined; remaining unclaimed tasks are
-    abandoned. *)
+    caller after every domain has joined, with the backtrace of the domain
+    it was raised on (helper domains record backtraces when the caller
+    does); remaining unclaimed tasks are abandoned.  [jobs] is the degree
+    of concurrency: [jobs - 1] domains are spawned for the call, also
+    above the core count, and joined before it returns, so a nested
+    {!map} inside a task spawns its own. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List convenience wrapper around {!map}; same contract. *)

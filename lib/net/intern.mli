@@ -37,6 +37,16 @@ val count : 'a t -> int
 val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** Visit every (id, value) pair in id order. *)
 
+val hash : int -> int
+(** The multiplicative mix the table probes with: the key times an odd
+    64-bit constant, with the high product bits folded back into the low
+    ones, so that keys on a regular stride (packed prefix keys step by
+    [1 lsl 6] and more) still differ in their low bits.  May be negative;
+    mask it before use as an index.  The fold ties the low bits to the
+    high ones, so a partition of keys that each get a table of their own
+    must not be drawn from any bits of this hash: every part's keys would
+    share part of their home slot. *)
+
 val prefixes : ?size:int -> unit -> Prefix.t t
 (** An interner over prefixes, keyed by {!Prefix.to_key}. *)
 

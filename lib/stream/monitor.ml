@@ -174,6 +174,17 @@ let merge_window_counts a b =
 
 module Int_map = Map.Make (Int)
 
+(* Stable, tail-recursive merge of two sorted lists: on a tie the head of
+   [a] goes first, as in a stable sort of [a @ b]. *)
+let merge_sorted cmp a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+      if cmp y x < 0 then go (y :: acc) a b' else go (x :: acc) a' b
+  in
+  go [] a b
+
 let merge_snapshots = function
   | [] -> invalid_arg "Stream.Monitor.merge_snapshots: empty list"
   | first :: _ as snaps ->
@@ -184,13 +195,15 @@ let merge_snapshots = function
     let last_time =
       List.fold_left (fun acc s -> max acc s.s_last_time) 0 snaps
     in
+    (* each shard's lists are already in canonical order, so merging them
+       one shard at a time equals sorting their concatenation *)
+    let merge cmp field =
+      List.fold_left (fun acc s -> merge_sorted cmp acc (field s)) [] snaps
+    in
     let prefixes =
-      List.concat_map (fun s -> s.s_prefixes) snaps
-      |> List.sort (fun a b -> Prefix.compare a.p_prefix b.p_prefix)
+      merge (fun a b -> Prefix.compare a.p_prefix b.p_prefix) (fun s -> s.s_prefixes)
     in
-    let closed =
-      List.concat_map (fun s -> s.s_closed) snaps |> List.sort compare_episode
-    in
+    let closed = merge compare_episode (fun s -> s.s_closed) in
     let windows =
       List.fold_left
         (fun m s ->
@@ -216,10 +229,12 @@ let merge_snapshots = function
 (* ------------------------------------------------------------------ *)
 (* Live monitor state *)
 
+(* [os_day0] is the monitor's day count when the episode opened: its own
+   count is [t.days - os_day0], so a day mark need not visit it. *)
 type open_state = {
   os_seq : int;
   os_started : int;
-  mutable os_days : int;
+  os_day0 : int;
   mutable os_max_origins : int;
   mutable os_origins_ever : Asn.Set.t;
   mutable os_clean : bool;
@@ -292,7 +307,7 @@ type wstate = {
 
 (* Prefixes are interned to dense int ids ({!Net.Intern}) the first time
    they announce; all per-prefix live state lives in an array indexed by
-   that id and the open/dirty sets are int-keyed.  The hot ingest loop
+   that id and the dirty set is int-keyed.  The hot ingest loop
    therefore touches only unboxed int keys — no structural hashing of
    prefix records, no option boxing on the hit path.  Ids are an
    in-memory handle: a monitor rebuilt from a snapshot re-interns in
@@ -302,15 +317,10 @@ type t = {
   cfg : config;
   interner : Prefix.t Intern.t;
   mutable states : pstate option array; (* dense prefix id -> live state *)
-  (* open and dirty sets as flag-bytes + id stacks: ids are dense, so
+  mutable open_live : int; (* episodes open right now *)
+  (* the dirty set as flag-bytes + an id stack: ids are dense, so
      membership is a byte load and insertion a byte store + push — no
-     hashing, no allocation on the steady path.  The open stack may hold
-     stale ids of since-closed episodes; [mark_day] sweeps them out and
-     [open_live] tracks the exact live count. *)
-  mutable open_flag : Bytes.t;
-  mutable open_ids : int array;
-  mutable open_n : int;
-  mutable open_live : int;
+     hashing, no allocation on the steady path *)
   mutable dirty_flag : Bytes.t;
   mutable dirty_ids : int array;
   mutable dirty_n : int;
@@ -340,9 +350,6 @@ let create ?(metrics = Registry.noop) cfg =
     cfg;
     interner = Intern.prefixes ~size:1024 ();
     states = [||];
-    open_flag = Bytes.empty;
-    open_ids = [||];
-    open_n = 0;
     open_live = 0;
     dirty_flag = Bytes.empty;
     dirty_ids = [||];
@@ -416,16 +423,6 @@ let mark_dirty t id =
     t.dirty_n <- t.dirty_n + 1
   end
 
-let mark_open t id =
-  t.open_live <- t.open_live + 1;
-  t.open_flag <- grow_flags t.open_flag id;
-  if Bytes.get t.open_flag id = '\000' then begin
-    Bytes.set t.open_flag id '\001';
-    t.open_ids <- grow_ids t.open_ids t.open_n;
-    t.open_ids.(t.open_n) <- id;
-    t.open_n <- t.open_n + 1
-  end
-
 let pstate_of t id =
   if id >= Array.length t.states then begin
     let cap = max 1024 (2 * Array.length t.states) in
@@ -450,7 +447,7 @@ let close_episode t prefix ps os ~time =
       e_seq = os.os_seq;
       e_started = os.os_started;
       e_ended = time;
-      e_days = os.os_days;
+      e_days = t.days - os.os_day0;
       e_max_origins = os.os_max_origins;
       e_origins_ever = os.os_origins_ever;
       e_clean = os.os_clean;
@@ -493,14 +490,14 @@ let ingest t ev =
           {
             os_seq = ps.closed_count + 1;
             os_started = ev.time;
-            os_days = 0;
+            os_day0 = t.days;
             os_max_origins = card;
             os_origins_ever = !origins_ever;
             os_clean = true;
           }
         in
         ps.open_ep <- Some os;
-        mark_open t id;
+        t.open_live <- t.open_live + 1;
         mark_dirty t id;
         t.opened <- t.opened + 1;
         Registry.Counter.incr t.m_opened;
@@ -589,20 +586,7 @@ let settle t ~time =
 let mark_day t ~time =
   settle t ~time;
   t.days <- t.days + 1;
-  if time > t.last_time then t.last_time <- time;
-  (* sweep the open stack: bump live episodes, compact out entries whose
-     episode closed and never reopened *)
-  let kept = ref 0 in
-  for k = 0 to t.open_n - 1 do
-    let id = t.open_ids.(k) in
-    match t.states.(id) with
-    | Some { open_ep = Some os; _ } ->
-      os.os_days <- os.os_days + 1;
-      t.open_ids.(!kept) <- id;
-      incr kept
-    | _ -> Bytes.set t.open_flag id '\000'
-  done;
-  t.open_n <- !kept
+  if time > t.last_time then t.last_time <- time
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore *)
@@ -675,17 +659,20 @@ let snapshot t =
         build (ot.o_n - 1) []
       in
       let p_open =
-        Option.map
-          (fun os ->
+        (* a match, not [Option.map]: a closure over [t] would be
+           allocated once per prefix *)
+        match ps.open_ep with
+        | None -> None
+        | Some os ->
+          Some
             {
               o_seq = os.os_seq;
               o_started = os.os_started;
-              o_days = os.os_days;
+              o_days = t.days - os.os_day0;
               o_max_origins = os.os_max_origins;
               o_origins_ever = os.os_origins_ever;
               o_clean = os.os_clean;
-            })
-          ps.open_ep
+            }
       in
       prefixes :=
         {
@@ -734,7 +721,7 @@ let restore ?metrics snap =
             {
               os_seq = o.o_seq;
               os_started = o.o_started;
-              os_days = o.o_days;
+              os_day0 = snap.s_counters.c_days - o.o_days;
               os_max_origins = o.o_max_origins;
               os_origins_ever = o.o_origins_ever;
               os_clean = o.o_clean;
@@ -752,7 +739,7 @@ let restore ?metrics snap =
         p.p_origins;
       ps0.open_ep <- open_ep;
       ps0.closed_count <- p.p_closed_count;
-      if open_ep <> None then mark_open t id)
+      if open_ep <> None then t.open_live <- t.open_live + 1)
     snap.s_prefixes;
   t.closed <- List.rev snap.s_closed;
   List.iter

@@ -104,7 +104,9 @@ val mark_day : t -> time:int -> unit
     conflicted day to every open episode.  The per-episode day counts
     follow exactly the paper's duration definition (total observed days
     in MOAS), so they are comparable with
-    {!Measurement.Moas_cases.case.moas_days}. *)
+    {!Measurement.Moas_cases.case.moas_days}.  O(1) beyond the settle:
+    an episode keeps the monitor's day count at its opening, and its own
+    count is the difference, taken when it closes or is snapshotted. *)
 
 val open_count : t -> int
 (** Episodes currently open (O(1)). *)
@@ -181,11 +183,14 @@ val snapshot : t -> snapshot
     iteration order, ingestion interleaving and shard count. *)
 
 val merge_snapshots : snapshot list -> snapshot
-(** Combine the snapshots of prefix-disjoint shards: prefix states and
-    episodes are concatenated and re-sorted, window counts and counters
-    are summed — except [c_days], which every shard counts in full and the
-    merge therefore takes as a maximum.  The config is taken from the
-    first snapshot.  @raise Invalid_argument on an empty list. *)
+(** Combine the snapshots of prefix-disjoint shards, each in the canonical
+    order {!snapshot} gives: prefix states and episodes are merged in
+    O(n k) for n items over k snapshots (equal to sorting their
+    concatenation, since the keys are unique across shards), window
+    counts and counters are summed — except [c_days], which every shard
+    counts in full and the merge therefore takes as a maximum.  The
+    config is taken from the first snapshot.
+    @raise Invalid_argument on an empty list. *)
 
 val restore : ?metrics:Obs.Registry.t -> snapshot -> t
 (** Rebuild a live monitor from a snapshot; the inverse of {!snapshot}.

@@ -19,7 +19,17 @@ type t = {
   g_open : Registry.Gauge.t;
 }
 
-let shard_of t prefix = Net.Prefix.hash prefix mod t.jobs
+(* The top bits of a multiplicative mix of the packed prefix key.
+   Archive prefixes are /16s and /24s on networks with a zero low octet,
+   so a hash that is linear in the network address (such as
+   [Prefix.hash]) is constant modulo small job counts and sends every
+   prefix to one shard.  The mix is not {!Net.Intern.hash}: each shard's
+   own interner takes its home slot from that hash's low bits, which fold
+   in its bits 31 and up, so any bits of it would tie a shard to a subset
+   of its table's slots and cluster the probes.  A second multiplier
+   keeps the two independent. *)
+let shard_of t prefix =
+  ((Net.Prefix.to_key prefix * 0x278DDE6E5FD29F05) lsr 31) mod t.jobs
 
 (* Stable counting-sort partition: one pass to count per-shard sizes, a
    prefix sum for offsets, one pass to scatter.  Stability matters — it
@@ -105,7 +115,8 @@ let day_count t = Monitor.day_count t.shards.(0)
 let parallel_threshold = 2048
 
 let ingest_batch ?(day_end = false) t ~time events =
-  let t0 = Unix.gettimeofday () in
+  let live = not (Registry.is_noop t.driver) in
+  let t0 = if live then Unix.gettimeofday () else 0.0 in
   (* stable partition by prefix hash into the persistent scratch buffers:
      per-prefix event order is preserved inside each shard, and distinct
      prefixes never share state, so any shard count yields the same
@@ -149,7 +160,7 @@ let ingest_batch ?(day_end = false) t ~time events =
   end;
   Registry.Counter.incr t.m_batches;
   if day_end then Registry.Counter.incr t.m_days;
-  if not (Registry.is_noop t.driver) then begin
+  if live then begin
     Registry.Histogram.observe t.h_batch (Unix.gettimeofday () -. t0);
     Registry.Gauge.set t.g_open (float_of_int (open_count t))
   end

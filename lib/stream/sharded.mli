@@ -1,5 +1,5 @@
 (** Parallel ingest for the online monitor: prefixes are hash-partitioned
-    over [jobs] {!Monitor} shards and each batch is processed on the
+    over [jobs] {!Monitor} shards and each large batch is processed on the
     {!Exec.Pool} domain pool.
 
     Because per-prefix state is independent and the partition preserves
@@ -22,13 +22,22 @@ val create : ?metrics:Obs.Registry.t -> ?jobs:int -> Monitor.config -> t
 val jobs : t -> int
 val config : t -> Monitor.config
 
+val shard_of : t -> Net.Prefix.t -> int
+(** The shard, in [0, jobs), that owns a prefix: the top bits of a
+    multiplicative mix of {!Net.Prefix.to_key}, modulo the job count.  It
+    spreads the archive's zero-low-octet /16s and /24s over every shard,
+    and it is independent of {!Net.Intern.hash}, so each shard's prefixes
+    keep the full spread of home slots in the shard's own interner. *)
+
 val ingest_batch : ?day_end:bool -> t -> time:int -> Monitor.event array -> unit
 (** Partition one batch across the shards and process it in parallel.
     Each shard ends the batch with {!Monitor.settle} at [time] — or, when
     [day_end] is set, {!Monitor.mark_day} (the batch closed an observed
     collection day).  Batches smaller than {!parallel_threshold} are
     ingested inline (shards in index order) because a domain spawn costs
-    more than they do; either dispatch yields identical shard state. *)
+    more than they do; either dispatch yields identical shard state.  The
+    cost is per event: the day mark is O(1), and the clock is read only
+    when the driver registry is live. *)
 
 val parallel_threshold : int
 (** Minimum batch size (in events) at which ingest is dispatched on the

@@ -15,9 +15,13 @@
      it has.
    - [crc32] and the [take_*] readers: the CRC one octet per step, and
      the multi-octet readers as chains of [Codec.take_u8].
+   - [merge_snapshots]: the shard merge that concatenates every shard's
+     prefix states and closed episodes and sorts them again, so it has
+     no reliance on each shard's lists being sorted already.
 
    [Collect.Correlator.correlate], [Stream.Source.archive_batches],
-   [Collect.Store] and [Net.Codec] must reproduce them exactly. *)
+   [Collect.Store], [Net.Codec] and [Stream.Monitor.merge_snapshots]
+   must reproduce them exactly. *)
 
 open Net
 module Report = Stream.Report
@@ -235,3 +239,62 @@ let take_u32 c =
 let take_i63 c =
   let hi = take_u32 c in
   (hi lsl 32) lor take_u32 c
+
+module Int_map = Map.Make (Int)
+
+let merge_snapshots = function
+  | [] -> invalid_arg "Oracles.merge_snapshots: empty list"
+  | first :: _ as snaps ->
+    let open Monitor in
+    let counters =
+      List.fold_left
+        (fun a { s_counters = b; _ } ->
+          {
+            c_updates = a.c_updates + b.c_updates;
+            c_announces = a.c_announces + b.c_announces;
+            c_withdraws = a.c_withdraws + b.c_withdraws;
+            c_opened = a.c_opened + b.c_opened;
+            c_closed = a.c_closed + b.c_closed;
+            c_alerts = a.c_alerts + b.c_alerts;
+            c_days = max a.c_days b.c_days;
+          })
+        zero_counters snaps
+    in
+    let last_time =
+      List.fold_left (fun acc s -> max acc s.s_last_time) 0 snaps
+    in
+    let prefixes =
+      List.concat_map (fun s -> s.s_prefixes) snaps
+      |> List.sort (fun a b -> Prefix.compare a.p_prefix b.p_prefix)
+    in
+    let closed =
+      List.concat_map (fun s -> s.s_closed) snaps |> List.sort compare_episode
+    in
+    let windows =
+      List.fold_left
+        (fun m s ->
+          List.fold_left
+            (fun m (idx, w) ->
+              Int_map.update idx
+                (function
+                  | None -> Some w
+                  | Some prev ->
+                    Some
+                      {
+                        w_updates = prev.w_updates + w.w_updates;
+                        w_opened = prev.w_opened + w.w_opened;
+                        w_closed = prev.w_closed + w.w_closed;
+                        w_alerts = prev.w_alerts + w.w_alerts;
+                      })
+                m)
+            m s.s_windows)
+        Int_map.empty snaps
+    in
+    {
+      s_config = first.s_config;
+      s_counters = counters;
+      s_last_time = last_time;
+      s_prefixes = prefixes;
+      s_closed = closed;
+      s_windows = Int_map.bindings windows;
+    }

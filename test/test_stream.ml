@@ -171,10 +171,9 @@ let test_sharding_invariance () =
 (* The archive as a firehose: every event repeated as four replicas, cut
    in time order into batches of at least [Sh.parallel_threshold] events
    so that ingest at jobs > 1 goes through the domain pool rather than
-   inline.  The archive's prefixes are /16s and /24s on networks with a
-   zero low octet, which [Prefix.hash] sends to shard 0 modulo 4; replica
-   [r] lengthens the mask by [r] (lengths the archive never uses, so the
-   replicas stay distinct prefixes) and so lands in shard [r]. *)
+   inline.  Replica [r] lengthens the mask by [r] (lengths the archive
+   never uses), so the replicas stay distinct prefixes and the batches
+   hold four times the archive's events. *)
 let firehose_batches () =
   let replicas = 4 in
   let events =
@@ -221,6 +220,56 @@ let test_pool_branch_invariance () =
   Alcotest.(check string) "reports identical at jobs 1 and 4" r1 r4;
   Alcotest.(check bool) "checkpoint bytes identical at jobs 1 and 4" true
     (Bytes.equal c1 c4)
+
+(* Every shard must own a real share of the archive: at least half of an
+   even split.  A shard hash that is linear in the network address sends
+   all of the archive's zero-low-octet /16s and /24s to shard 0, which
+   keeps the output jobs-invariant but leaves the other shards idle.
+
+   Each shard's prefixes must also keep the spread of their home slots in
+   the shard's own interner, whose slot is [Intern.hash key land mask]:
+   every residue of the low three bits is used and none holds more than
+   half of the shard's keys.  A shard function read from any bits of
+   [Intern.hash] fails this: the low bits give every key of shard [s] a
+   slot congruent to [s] modulo [jobs], and since the hash folds bits 31
+   and up into the low ones, the high bits tie the slot as well (on the
+   archive, [lsr 32] leaves shard 0 of two without a single home slot =
+   2 mod 8).  Either way the shard's table clusters its probes. *)
+let test_shard_spread () =
+  let prefixes = Hashtbl.create 1024 in
+  Array.iter
+    (fun b -> Array.iter (fun e -> Hashtbl.replace prefixes e.M.prefix ()) b.Src.events)
+    (Src.archive_batches ~annotate Srv.smoke_params);
+  let n = Hashtbl.length prefixes in
+  List.iter
+    (fun jobs ->
+      let t = Sh.create ~jobs M.default_config in
+      let counts = Array.make jobs 0 in
+      let homes = Array.make_matrix jobs 8 0 in
+      Hashtbl.iter
+        (fun p () ->
+          let s = Sh.shard_of t p in
+          Alcotest.(check bool) "shard in range" true (s >= 0 && s < jobs);
+          counts.(s) <- counts.(s) + 1;
+          let r = Intern.hash (Prefix.to_key p) land 7 in
+          homes.(s).(r) <- homes.(s).(r) + 1)
+        prefixes;
+      Array.iteri
+        (fun s c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: shard %d owns %d of %d prefixes" jobs s c n)
+            true
+            (2 * jobs * c >= n);
+          Array.iteri
+            (fun r h ->
+              Alcotest.(check bool)
+                (Printf.sprintf "jobs=%d: shard %d has %d of %d home slots = %d mod 8"
+                   jobs s h c r)
+                true
+                (h > 0 && 2 * h <= c))
+            homes.(s))
+        counts)
+    [ 2; 3; 4; 8 ]
 
 (* the merge diff replays exactly the batches of the Prefix.Map diff *)
 let test_archive_matches_map_diff () =
@@ -675,6 +724,140 @@ let prop_restore_midstream =
       in
       Bytes.equal (run false) (run true))
 
+(* ---------------- day counts ---------------- *)
+
+(* Batches over eight prefixes, each batch possibly ending an observed
+   day.  Eight prefixes land on every shard at jobs 2 and 3. *)
+let day_prefixes =
+  Array.init 8 (fun i -> Prefix.of_string (Printf.sprintf "10.%d.0.0/16" (i * 31)))
+
+let day_script_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 40)
+      (pair
+         (list_size (int_range 0 12)
+            (triple (int_range 0 7) (int_range 1 5) (int_range 0 3)))
+         bool))
+
+let day_batches script =
+  List.mapi
+    (fun i (evs, day_end) ->
+      let time = (i + 1) * 1000 in
+      ( Array.of_list
+          (List.map (fun (pi, o, k) -> ev ~time day_prefixes.(pi) (act o k)) evs),
+        day_end,
+        time ))
+    script
+
+(* The day-count oracle: an independent per-prefix model of the origin
+   set, in which a conflict is open while two or more origins announce
+   and every day mark that falls while it is open counts one day.
+   Returns (prefix, seq, days, still open), sorted. *)
+let model_days batches =
+  let st = Hashtbl.create 8 in
+  let get p =
+    match Hashtbl.find_opt st p with
+    | Some x -> x
+    | None ->
+      let x = (ref Asn.Set.empty, ref None, ref 0) in
+      Hashtbl.replace st p x;
+      x
+  in
+  let out = ref [] in
+  List.iter
+    (fun (events, day_end, _) ->
+      Array.iter
+        (fun e ->
+          let origins, opened, closed = get e.M.prefix in
+          match e.M.action with
+          | M.Announce { origin; _ } ->
+            origins := Asn.Set.add origin !origins;
+            if !opened = None && Asn.Set.cardinal !origins > 1 then
+              opened := Some (!closed + 1, 0)
+          | M.Withdraw { origin } -> (
+            origins := Asn.Set.remove origin !origins;
+            match !opened with
+            | Some (seq, days) when Asn.Set.cardinal !origins <= 1 ->
+              out := (Prefix.to_string e.M.prefix, seq, days, false) :: !out;
+              opened := None;
+              incr closed
+            | _ -> ()))
+        events;
+      if day_end then
+        Hashtbl.iter
+          (fun _ (_, opened, _) ->
+            Option.iter (fun (seq, days) -> opened := Some (seq, days + 1)) !opened)
+          st)
+    batches;
+  Hashtbl.iter
+    (fun p (_, opened, _) ->
+      Option.iter
+        (fun (seq, days) -> out := (Prefix.to_string p, seq, days, true) :: !out)
+        !opened)
+    st;
+  List.sort compare !out
+
+let snapshot_days (sn : M.snapshot) =
+  List.sort compare
+    (List.map
+       (fun e -> (Prefix.to_string e.M.e_prefix, e.M.e_seq, e.M.e_days, false))
+       sn.M.s_closed
+    @ List.filter_map
+        (fun p ->
+          Option.map
+            (fun o -> (Prefix.to_string p.M.p_prefix, o.M.o_seq, o.M.o_days, true))
+            p.M.p_open)
+        sn.M.s_prefixes)
+
+let feed t batches =
+  List.iter (fun (events, day_end, time) -> Sh.ingest_batch ~day_end t ~time events) batches
+
+(* [jobs] for the first [split] batches, then a checkpoint round trip and
+   [resume_jobs] for the rest *)
+let run_days ~jobs ?resume_jobs ?(split = 0) batches =
+  let first = List.filteri (fun i _ -> i < split) batches in
+  let rest = List.filteri (fun i _ -> i >= split) batches in
+  let t = Sh.create ~jobs M.default_config in
+  feed t first;
+  let t =
+    match resume_jobs with
+    | None -> t
+    | Some j -> Sh.of_snapshot ~jobs:j (Ck.decode (Ck.encode (Sh.snapshot t)))
+  in
+  feed t rest;
+  Sh.snapshot t
+
+let prop_day_counts =
+  Testutil.qtest ~count:150 "day counts equal the per-prefix model"
+    QCheck2.Gen.(pair day_script_gen (int_range 0 40))
+    (fun (script, split) ->
+      let batches = day_batches script in
+      let expected = model_days batches in
+      let marks = List.length (List.filter (fun (_, d, _) -> d) batches) in
+      List.for_all
+        (fun (jobs, resume_jobs) ->
+          let sn = run_days ~jobs ?resume_jobs ~split batches in
+          snapshot_days sn = expected && sn.M.s_counters.M.c_days = marks)
+        [ (1, None); (3, None); (1, Some 3); (3, Some 1); (2, Some 2) ])
+
+(* the linear merge of sorted shard snapshots equals the concatenate-and-
+   sort oracle, for any split of the prefixes over shards *)
+let prop_merge_equals_sort =
+  Testutil.qtest ~count:150 "linear snapshot merge equals concat + sort"
+    QCheck2.Gen.(pair day_script_gen (int_range 1 5))
+    (fun (script, k) ->
+      let shards = Array.init k (fun _ -> M.create M.default_config) in
+      List.iter
+        (fun (events, day_end, time) ->
+          Array.iter (fun e -> M.ingest shards.(Hashtbl.hash e.M.prefix mod k) e) events;
+          Array.iter
+            (fun m -> if day_end then M.mark_day m ~time else M.settle m ~time)
+            shards)
+        (day_batches script);
+      let snaps = Array.to_list (Array.map M.snapshot shards) in
+      let fast = M.merge_snapshots snaps and slow = Oracles.merge_snapshots snaps in
+      fast = slow && Bytes.equal (Ck.encode fast) (Ck.encode slow))
+
 let () =
   Alcotest.run "stream"
     [
@@ -695,6 +878,8 @@ let () =
             test_sharding_invariance;
           Alcotest.test_case "pool-sized batches invariance" `Quick
             test_pool_branch_invariance;
+          Alcotest.test_case "shard hash spreads the archive" `Quick
+            test_shard_spread;
           Alcotest.test_case "alerts spike on fault days" `Quick
             test_alerts_spike_on_fault_days;
           Alcotest.test_case "agrees with Moas_cases" `Quick
@@ -733,5 +918,7 @@ let () =
           prop_jobs_invariance;
           prop_checkpoint_roundtrip;
           prop_restore_midstream;
+          prop_day_counts;
+          prop_merge_equals_sort;
         ] );
     ]
